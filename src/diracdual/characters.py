@@ -109,29 +109,6 @@ def dim(kt):
 # ---------------------------------------------------------------------------
 
 
-def _root_lattice_contains(diff, family):
-    """Is the integral vector diff (doubled) in the root lattice?"""
-    if any(c % 2 for c in diff.doubled):
-        return False
-    coords = [c // 2 for c in diff.doubled]
-    if family == "A":
-        return sum(coords) == 0
-    if family == "B":
-        return True
-    return sum(coords) % 2 == 0  # C and D
-
-
-def weight_multiplicity(hw, wt, datum):
-    """Multiplicity of the weight wt in the module with highest weight hw."""
-    if not is_dominant(hw, datum):
-        raise ValueError("highest weight must be dominant")
-    if len(wt) != datum.rank:
-        raise ValueError("rank mismatch")
-    if not _root_lattice_contains(hw - wt, datum.family):
-        return 0
-    return _freudenthal(datum, hw.doubled, dominant_rep(wt, datum).doubled)
-
-
 @lru_cache(maxsize=200000)
 def _freudenthal(datum, hw_doubled, wt_doubled):
     """Multiplicity of the *dominant* weight wt in V(hw)."""

@@ -15,7 +15,9 @@ squared norms.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
+from operator import add, mul, sub
 
 from .weights import (
     HalfIntVec,
@@ -26,7 +28,7 @@ from .weights import (
     rho,
 )
 from .characters import KType, rho_tensor_engine
-from .spectrum import UnipotentFamily, kspectrum, search_norm_bound_x4, two_lambda
+from .spectrum import _highest_weights, kspectrum, search_norm_bound_x4, two_lambda
 
 # The families whose K-spectra are catalogued in spectrum.kspectrum.
 SERIES_KINDS = ("B", "C_even", "C_odd", "D_even", "D_odd")
@@ -71,8 +73,28 @@ class DiracResult:
 
 def spin_norm_sq_x4(eta):
     """4 * ||{eta - rho} + rho||^2 for a K-type eta, an exact integer."""
-    r = rho(eta.datum)
-    return norm_sq_x4(dominant_rep(eta.hw - r, eta.datum) + r)
+    datum = eta.datum
+    return _spin_norm_sq_x4(eta.hw.doubled, datum.family, rho(datum).doubled)
+
+
+def _spin_norm_sq_x4(doubled, family, rho_doubled):
+    """4 * ||{v - rho} + rho||^2 on doubled coordinates.
+
+    {v - rho} is taken as in weights.dominant_rep: a descending sort in
+    type A, absolute values sorted descending in B/C/D, and in D the
+    last entry stays negative when no coordinate vanishes and an odd
+    number of them are negative.  (rho_n = 0 in type D, so that sign
+    never changes the norm; it keeps {v - rho} equal to dominant_rep's.)
+    """
+    shifted = list(map(sub, doubled, rho_doubled))
+    if family == "A":
+        dom = sorted(shifted, reverse=True)
+    else:
+        dom = sorted(map(abs, shifted), reverse=True)
+        if family == "D" and dom[-1] and sum(c < 0 for c in shifted) % 2:
+            dom[-1] = -dom[-1]
+    back = list(map(add, dom, rho_doubled))
+    return sum(map(mul, back, back))
 
 
 def _parity_nonzero(fam):
@@ -96,8 +118,16 @@ def spin_lkt_unipotent(fam, bound=None):
     ||eta|| > ||2 lambda|| + 2||rho|| satisfies
     ||{eta-rho}+rho|| >= ||eta-rho|| >= ||eta|| - ||rho||, which already
     exceeds every norm the scanned region produces, so no minimizer is
-    missed.  An explicit ``bound`` caps the coordinates instead (quicker,
-    possibly truncated; the result records whether it was complete).
+    missed.  Only the K-types inside that ball are enumerated (the
+    bound is ``search_norm_bound_x4``); ``checks["candidates"]`` counts
+    them.  An explicit ``bound`` scans the whole box of K-types with
+    coordinates at most ``bound`` instead (possibly truncated; the
+    result records whether it was complete).
+
+    The scan works on integer tuples and is cached per family and
+    bound, so ``hd_multiplicity`` and ``parity_vanishing`` reuse it.
+    Every call still builds a fresh result and ``checks`` dict and
+    repeats the floor, tie and even/odd checks.
     """
     if fam.kind not in SERIES_KINDS:
         raise ValueError(
@@ -114,19 +144,8 @@ def spin_lkt_unipotent(fam, bound=None):
         if bound < 0:
             raise ValueError("bound must be nonnegative")
         complete = bound >= cap
-        cap = bound
-    best = None
-    minimizers = []
-    scanned = 0
-    for eta in kspectrum(fam, cap):
-        if bound is None and norm_sq_x4(eta.hw) > limit:
-            continue
-        scanned += 1
-        s = spin_norm_sq_x4(eta)
-        if best is None or s < best:
-            best, minimizers = s, [eta]
-        elif s == best:
-            minimizers.append(eta)
+        cap, limit = bound, None
+    best, minimizers, scanned = _scan(fam, cap, limit)
     if best is None:
         raise ValueError("bound %s leaves no K-types to scan" % (bound,))
     if best < target:
@@ -134,6 +153,7 @@ def spin_lkt_unipotent(fam, bound=None):
             "spin norm fell below ||2 lambda|| for %s: scan inconsistency" % (fam,)
         )
     nonzero = best == target
+    minimizers = [KType(HalfIntVec(hw), datum) for hw in minimizers]
     if nonzero and len(minimizers) > 1:
         raise RuntimeError(
             "spin-norm tie on the floor for %s: %s"
@@ -159,6 +179,26 @@ def spin_lkt_unipotent(fam, bound=None):
     return DiracResult(
         True, tau, 2 ** (datum.rank // 2), ((minimizers[0], 1),), checks
     )
+
+
+@lru_cache(maxsize=256)
+def _scan(fam, cap, limit):
+    """(minimum 4*spin norm, the minimizers' doubled highest weights in
+    (norm, hw) order, number of K-types scanned) over the family's
+    K-types with coordinates at most cap and, unless limit is None,
+    norm_sq_x4 at most limit."""
+    datum = fam.datum
+    family, r = datum.family, rho(datum).doubled
+    hws = _highest_weights(fam, cap, limit)
+    best = None
+    minimizers = []
+    for hw in hws:
+        s = _spin_norm_sq_x4(hw, family, r)
+        if best is None or s < best:
+            best, minimizers = s, [hw]
+        elif s == best:
+            minimizers.append(hw)
+    return best, tuple(minimizers), len(hws)
 
 
 def hd_multiplicity(fam, via_tensor=False):

@@ -21,7 +21,7 @@ spectra are not part of this catalog.
 """
 
 from dataclasses import dataclass
-import itertools
+from math import isqrt
 
 from .weights import (
     HalfIntVec,
@@ -153,41 +153,51 @@ def kspectrum(fam, bound):
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    k = fam.kind
     datum = fam.datum
-    out = []
+    for hw in _highest_weights(fam, bound):
+        yield KType(HalfIntVec(hw), datum)
+
+
+def _highest_weights(fam, bound, limit=None):
+    """The highest weights of the family's K-types, as doubled-coordinate
+    int tuples with every coordinate at most bound and, unless limit is
+    None, norm_sq_x4 at most limit; sorted by (norm_sq_x4, hw).
+
+    The free coordinates (the alpha columns; one column for C) are built
+    as weakly decreasing tuples one entry at a time, and a tuple stops
+    growing as soon as its partial sum of squares passes the limit, so
+    the work follows the norm ball rather than the whole box.
+    """
+    k = fam.kind
     if k in ("C_even", "C_odd"):
-        start = 0 if k == "C_even" else 1
-        for m in range(start, bound + 1, 2):
-            out.append((m,) + (0,) * (fam.n - 1))
+        length, pad = 1, fam.n - 1
     elif k == "B":
-        zeros = (0,) * (fam.b - fam.a)
-        for alphas in _weakly_decreasing(fam.a, bound):
-            hw = tuple(x for x in alphas for _ in range(2)) + zeros
-            out.append(hw)
+        length, pad = fam.a, fam.b - fam.a
     elif k in ("D_even", "D_odd"):
-        want = 0 if k == "D_even" else 1
-        zeros = (0,) * (fam.b - fam.a)
-        for alphas in _weakly_decreasing(2 * fam.a, bound):
-            if sum(alphas) % 2 != want:
-                continue
-            out.append(alphas + zeros)
+        length, pad = 2 * fam.a, fam.b - fam.a
     else:
         raise ValueError("no K-spectrum catalog for family %s" % (fam,))
-    out.sort(key=lambda hw: (sum(4 * c * c for c in hw), hw))
-    for hw in out:
-        yield KType(HalfIntVec(tuple(2 * c for c in hw)), datum)
-
-
-def _weakly_decreasing(length, bound):
-    """All weakly decreasing tuples of the given length with entries in
-    0..bound."""
-    if length == 0:
-        yield ()
-        return
-    for first in range(bound, -1, -1):
-        for rest in _weakly_decreasing(length - 1, first):
-            yield (first,) + rest
+    parity = {"C_even": 0, "C_odd": 1, "D_even": 0, "D_odd": 1}.get(k)
+    weight = 2 if k == "B" else 1  # the B shape repeats each column
+    # room for weight * (sum of squared columns); limit // 4 undoes the
+    # doubling, and without a limit the box alone decides
+    room = weight * length * bound * bound if limit is None else limit // 4
+    level = [((), bound, room)]
+    for _ in range(length):
+        level = [
+            (head + (2 * x,) * weight, x, left - weight * x * x)
+            for head, top, left in level
+            for x in range(min(top, isqrt(left // weight)) + 1)
+        ]
+    # norm_sq_x4 of a weight is 4 * (room - left), so this is (norm, hw)
+    # order; doubled sums mod 4 stand in for ordinary sums mod 2
+    zeros = (0,) * pad
+    keyed = sorted(
+        (room - left, head + zeros)
+        for head, _, left in level
+        if parity is None or sum(head) % 4 == 2 * parity
+    )
+    return [hw for _, hw in keyed]
 
 
 def search_norm_bound_x4(fam):
@@ -198,10 +208,8 @@ def search_norm_bound_x4(fam):
     ||eta|| <= ||2 lambda|| + 2 ||rho||; the returned value is an exact
     integer dominating (||2 lambda|| + 2||rho||)^2 * 4.
     """
-    import math
-
     tl = two_lambda(fam)
     a = norm_sq_x4(tl)
     b = 4 * norm_sq_x4(fam.datum.rho)
     # (sqrt(a) + sqrt(b))^2 = a + b + 2 sqrt(ab), rounded safely up
-    return a + b + 2 * math.isqrt(a * b) + 2
+    return a + b + 2 * isqrt(a * b) + 2

@@ -392,34 +392,3 @@ def is_triangular(orbit):
         want.extend([v, v])
         v -= 2
     return rows[0] % 2 == 1 and rows == want
-
-
-def alt_parameter(orbit, pair_index):
-    """The alternative centered string for an equal even pair (B/D) or
-    equal odd pair (C), in place of the staggered construction.
-
-    Returns the parameter obtained by replacing that pair's
-    contribution with ((m-1)/2, ..., -(m-1)/2) on both sides.
-    """
-    pairing = column_pairing(orbit)
-    if not 0 <= pair_index < len(pairing.pairs):
-        raise ValueError("no pair at index %d" % pair_index)
-    a, b = pairing.pairs[pair_index]
-    need = 0 if orbit.family in ("B", "D") else 1
-    if a != b or a % 2 != need:
-        raise ValueError(
-            "pair %s does not admit the alternative parameter" % ((a, b),)
-        )
-    datum = orbit.datum
-    coords = []
-    for s in _contributions(pairing):
-        coords.extend(s)
-    for i, (x, y) in enumerate(pairing.pairs):
-        if i == pair_index:
-            coords.extend(_centered_string(x))
-        else:
-            coords.extend(_pair_string(x, y))
-    lam = HalfIntVec(tuple(coords))
-    zh = canonical_param(lam, lam, datum)
-    eta = tuple(1 if i != pair_index else 0 for i in range(len(pairing.pairs)))
-    return UnipotentParam(orbit, eta, zh)

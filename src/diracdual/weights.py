@@ -154,29 +154,6 @@ def _positive_roots(family, rank):
     return tuple(roots)
 
 
-def simple_roots(datum):
-    """Simple roots in ordinary integer coordinates."""
-    n = datum.rank
-    out = []
-    for i in range(n - 1):
-        r = [0] * n
-        r[i], r[i + 1] = 1, -1
-        out.append(tuple(r))
-    last = [0] * n
-    if datum.family == "B":
-        last[n - 1] = 1
-        out.append(tuple(last))
-    elif datum.family == "C":
-        last[n - 1] = 2
-        out.append(tuple(last))
-    elif datum.family == "D":
-        if n < 2:
-            raise ValueError("type D needs rank >= 2")
-        last[n - 2], last[n - 1] = 1, 1
-        out.append(tuple(last))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _rho_doubled(family, rank):
     acc = [0] * rank

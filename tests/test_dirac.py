@@ -1,12 +1,22 @@
 """Spin norms, the norm floor ||2 lambda||, and Dirac cohomology of the
 catalogued families and their GL-induced relatives."""
 
+from math import isqrt
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from diracdual.weights import HalfIntVec, RootDatum, dominant_rep, norm_sq_x4, rho, vec
 from diracdual.characters import KType, rho_tensor_engine
-from diracdual.spectrum import UnipotentFamily, kspectrum, two_lambda
+from diracdual.spectrum import (
+    UnipotentFamily,
+    kspectrum,
+    search_norm_bound_x4,
+    two_lambda,
+)
 from diracdual.dirac import (
+    DiracResult,
+    _spin_norm_sq_x4,
     dirac_induced,
     hd_multiplicity,
     parity_vanishing,
@@ -42,6 +52,47 @@ def test_spin_norm_spot_values():
     # eta = rho has spin norm ||rho|| (the braced part vanishes)
     d = RootDatum("C", 3)
     assert spin_norm_sq_x4(KType(rho(d), d)) == norm_sq_x4(rho(d))
+
+
+def _spin_norm_via_vectors(doubled, datum):
+    r = rho(datum)
+    return norm_sq_x4(dominant_rep(HalfIntVec(doubled) - r, datum) + r)
+
+
+@st.composite
+def _shifted_weights(draw):
+    """(family, rank, eta) with eta - rho drawn first, so the type-D sign
+    cases of {eta - rho} can be forced: a zero coordinate, or no zero
+    and an odd number of negative ones."""
+    family = draw(st.sampled_from("ABCD"))
+    rank = draw(st.integers(min_value=1, max_value=8))
+    case = draw(st.sampled_from(("free", "zero", "odd")))
+    if case == "odd":
+        mags = draw(st.lists(st.integers(1, 12), min_size=rank, max_size=rank))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=rank, max_size=rank))
+        if signs.count(-1) % 2 == 0:
+            signs[0] = -signs[0]
+        shifted = [m * s for m, s in zip(mags, signs)]
+    else:
+        shifted = draw(st.lists(st.integers(-12, 12), min_size=rank, max_size=rank))
+        if case == "zero":
+            shifted[draw(st.integers(0, rank - 1))] = 0
+    datum = RootDatum(family, rank)
+    eta = tuple(c + r for c, r in zip(shifted, rho(datum).doubled))
+    return family, rank, eta
+
+
+@settings(max_examples=400)
+@given(_shifted_weights())
+@example(("D", 1, (-2,)))
+@example(("D", 3, (4, 2, -2)))  # eta - rho = (0, 0, -2): a zero, one negative
+@example(("D", 3, (2, 0, -2)))  # eta - rho = (-2, -2, -2): no zero, odd negatives
+@example(("B", 8, (1,) * 8))
+def test_spin_norm_kernel_matches_vectors(case):
+    family, rank, eta = case
+    datum = RootDatum(family, rank)
+    want = _spin_norm_via_vectors(eta, datum)
+    assert _spin_norm_sq_x4(eta, family, rho(datum).doubled) == want
 
 
 def test_spin_norm_floor():
@@ -97,6 +148,92 @@ def test_explicit_bound_reports_completeness():
     assert res.nonzero  # the minimizer (2,0) is inside the small box
     res = spin_lkt_unipotent(fam("C_even", 2), bound=50)
     assert res.checks["complete"]
+
+
+def _reference_result(f, bound=None):
+    """The full-cube scan the ball search replaced: every K-type of the
+    box from kspectrum, the ball filter of the complete search, and
+    spin norms through HalfIntVec.  Returns the expected DiracResult."""
+    datum = f.datum
+    limit = search_norm_bound_x4(f)
+    cap = isqrt(limit // 4) if bound is None else bound
+    best, minimizers, scanned = None, [], 0
+    for eta in kspectrum(f, cap):
+        if bound is None and norm_sq_x4(eta.hw) > limit:
+            continue
+        scanned += 1
+        s = _spin_norm_via_vectors(eta.hw.doubled, datum)
+        if best is None or s < best:
+            best, minimizers = s, [eta]
+        elif s == best:
+            minimizers.append(eta)
+    target = norm_sq_x4(two_lambda(f))
+    nonzero = best == target
+    checks = {
+        "min_spin_norm_sq_x4": best,
+        "two_lambda_norm_sq_x4": target,
+        "coordinate_bound": cap,
+        "candidates": scanned,
+        "complete": bound is None or bound >= isqrt(limit // 4),
+    }
+    rule = {
+        "C_even": f.n % 2 == 0,
+        "C_odd": f.n % 2 == 1,
+        "D_even": f.a % 2 == 0,
+        "D_odd": f.a % 2 == 1,
+    }.get(f.kind)
+    if rule is not None:
+        checks["parity_rule_nonzero"] = rule
+    if not nonzero:
+        return DiracResult(False, None, None, tuple((m, 1) for m in minimizers), checks)
+    assert len(minimizers) == 1, str(f)
+    tau = KType(dominant_rep(two_lambda(f), datum) - rho(datum), datum)
+    return DiracResult(True, tau, 2 ** (datum.rank // 2), ((minimizers[0], 1),), checks)
+
+
+def test_search_matches_full_cube_scan():
+    # every field, checks included, for all 39 families of size <= 6
+    families = _all_families(6, 6)
+    assert len(families) == 39
+    for f in families:
+        want = _reference_result(f)
+        got = spin_lkt_unipotent(f)
+        assert got == want, str(f)
+        assert got.checks == want.checks, str(f)
+
+
+def test_explicit_bound_matches_full_box_scan():
+    for f in _all_families(6, 6):
+        for bound in (1, 3):
+            want = _reference_result(f, bound)
+            got = spin_lkt_unipotent(f, bound)
+            assert got == want and got.checks == want.checks, (str(f), bound)
+
+
+def test_results_do_not_share_checks():
+    f = fam("C_even", 2)
+    first = spin_lkt_unipotent(f)
+    first.checks["candidates"] = -1
+    assert spin_lkt_unipotent(f).checks["candidates"] == 4
+
+
+def test_rank_seven_families_complete():
+    # the even/odd rule at rank 7: D_odd(a,b) carries cohomology iff a
+    # is odd, D_even(a,b) iff a is even, every B(a,b) does
+    for f, want in (
+        (fam("D_odd", 3, 4), True),
+        (fam("D_even", 3, 4), False),
+        (fam("B", 3, 4), True),
+    ):
+        res = spin_lkt_unipotent(f)
+        assert res.checks["complete"], str(f)
+        assert res.nonzero == want, str(f)
+        floor = res.checks["two_lambda_norm_sq_x4"]
+        if want:
+            assert len(res.spin_lkts) == 1, str(f)
+            assert res.checks["min_spin_norm_sq_x4"] == floor, str(f)
+        else:
+            assert res.checks["min_spin_norm_sq_x4"] > floor, str(f)
 
 
 # -- parity of the index ------------------------------------------------------------

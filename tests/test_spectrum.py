@@ -1,6 +1,8 @@
 """The small-representation series: defining parameters, 2*lambda
 closed forms, and the explicit K-type catalogs."""
 
+import itertools
+
 import pytest
 
 from diracdual.weights import (
@@ -176,6 +178,31 @@ def test_kspectrum_ordering_and_validity():
             norms.append(norm_sq_x4(kt.hw))
         assert norms == sorted(norms), str(fam)
         assert norms, "empty catalog for %s" % fam
+
+
+def _in_catalog(fam, hw):
+    """The catalog shapes of the module docstring, on ordinary coordinates."""
+    if fam.kind in ("C_even", "C_odd"):
+        return hw[0] % 2 == (fam.kind == "C_odd") and not any(hw[1:])
+    cols = 2 * fam.a
+    if any(hw[cols:]):
+        return False
+    if fam.kind == "B":
+        return all(hw[i] == hw[i + 1] for i in range(0, cols, 2))
+    return sum(hw) % 2 == (fam.kind == "D_odd")
+
+
+def test_kspectrum_matches_brute_force_box():
+    for fam in _series_families(total_max=5, n_max=4):
+        rank = fam.datum.rank
+        for bound in (0, 1, 3):
+            want = sorted(
+                (sum(4 * c * c for c in hw), tuple(2 * c for c in hw))
+                for hw in itertools.product(range(bound + 1), repeat=rank)
+                if list(hw) == sorted(hw, reverse=True) and _in_catalog(fam, hw)
+            )
+            got = [kt.hw.doubled for kt in kspectrum(fam, bound)]
+            assert got == [hw for _, hw in want], (str(fam), bound)
 
 
 def test_kspectrum_rejects_uncatalogued():
