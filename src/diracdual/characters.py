@@ -24,6 +24,7 @@ from .weights import (
     RootDatum,
     dominant_rep,
     is_dominant,
+    is_regular_doubled,
     norm_sq_x4,
     nspan_coefficients,
     pairing_x2,
@@ -196,17 +197,6 @@ def weight_multiset(hw, datum):
 # ---------------------------------------------------------------------------
 
 
-def _is_rho_singular(doubled, family):
-    if family == "A":
-        return len(set(doubled)) != len(doubled)
-    mags = [abs(c) for c in doubled]
-    if len(set(mags)) != len(mags):
-        return True
-    if family in ("B", "C"):
-        return any(c == 0 for c in doubled)
-    return False  # D: a single zero is regular
-
-
 def _sort_sign(values):
     """Stable descending sort plus the sign of the sorting permutation."""
     idx = sorted(range(len(values)), key=lambda i: -values[i])
@@ -249,7 +239,7 @@ def tensor_decompose(a, b):
     acc = {}
     for wt, mult in weight_multiset(b.hw, datum).items():
         t = tuple(s + w for s, w in zip(shift, wt))
-        if _is_rho_singular(t, datum.family):
+        if not is_regular_doubled(t, datum.family):
             continue
         dom, det = _to_dominant_with_det(t, datum.family)
         tau = tuple(d - rr for d, rr in zip(dom, r.doubled))
@@ -288,7 +278,7 @@ def tensor_multiplicity(a, b, target):
     total = 0
     for wt, mult in weight_multiset(b.hw, datum).items():
         t = tuple(s + w for s, w in zip(shift, wt))
-        if _is_rho_singular(t, datum.family):
+        if not is_regular_doubled(t, datum.family):
             continue
         dom, det = _to_dominant_with_det(t, datum.family)
         if dom == goal:

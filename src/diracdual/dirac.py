@@ -22,6 +22,7 @@ from operator import add, mul, sub
 from .weights import (
     HalfIntVec,
     RootDatum,
+    dominant_doubled,
     dominant_rep,
     is_regular,
     norm_sq_x4,
@@ -78,21 +79,10 @@ def spin_norm_sq_x4(eta):
 
 
 def _spin_norm_sq_x4(doubled, family, rho_doubled):
-    """4 * ||{v - rho} + rho||^2 on doubled coordinates.
-
-    {v - rho} is taken as in weights.dominant_rep: a descending sort in
-    type A, absolute values sorted descending in B/C/D, and in D the
-    last entry stays negative when no coordinate vanishes and an odd
-    number of them are negative.  (rho_n = 0 in type D, so that sign
-    never changes the norm; it keeps {v - rho} equal to dominant_rep's.)
-    """
-    shifted = list(map(sub, doubled, rho_doubled))
-    if family == "A":
-        dom = sorted(shifted, reverse=True)
-    else:
-        dom = sorted(map(abs, shifted), reverse=True)
-        if family == "D" and dom[-1] and sum(c < 0 for c in shifted) % 2:
-            dom[-1] = -dom[-1]
+    """4 * ||{v - rho} + rho||^2 on doubled coordinates, with {v - rho}
+    from weights.dominant_doubled.  (rho_n = 0 in type D, so the D sign
+    rule never changes the norm.)"""
+    dom = dominant_doubled(list(map(sub, doubled, rho_doubled)), family)
     back = list(map(add, dom, rho_doubled))
     return sum(map(mul, back, back))
 
@@ -272,10 +262,11 @@ def parity_vanishing(fam, bound):
 
 
 def _character_block(size, value):
-    """The lambda-coordinates a GL(size) character contributes: the
-    character weight spread by the GL half-sum (size-1)/2, ..., -(size-1)/2."""
-    half = Fraction(value)
-    return [half / 2 + Fraction(size - 1 - 2 * i, 2) for i in range(size)]
+    """The lambda-coordinates a GL(size) character contributes: half the
+    character weight spread by the GL half-sum (size-1)/2, ..., -(size-1)/2.
+    ``value`` is the doubled character weight; the entries are 4*lambda,
+    so an odd entry marks a quarter-integral lambda."""
+    return [value + 2 * (size - 1 - 2 * i) for i in range(size)]
 
 
 def dirac_induced(gl_blocks, core, xi):
@@ -296,7 +287,7 @@ def dirac_induced(gl_blocks, core, xi):
     if core.kind not in SERIES_KINDS:
         raise ValueError("core %s has no catalogued K-spectrum" % (core,))
     if not isinstance(xi, HalfIntVec):
-        xi = HalfIntVec.from_halves(Fraction(x) for x in xi)
+        xi = HalfIntVec.from_halves(xi)
     if len(xi) != sum(blocks):
         raise ValueError(
             "xi has %d coordinates, the GL blocks need %d" % (len(xi), sum(blocks))
@@ -304,27 +295,24 @@ def dirac_induced(gl_blocks, core, xi):
     if not blocks:
         return spin_lkt_unipotent(core)
 
-    xi_vals = xi.halves()
-    lam_halves = []
+    lam_x4 = []
     pos = 0
     for size in blocks:
-        seg = xi_vals[pos : pos + size]
+        seg = xi.doubled[pos : pos + size]
         pos += size
         if any(v != seg[0] for v in seg):
             raise ValueError(
                 "xi must be constant on each GL block (one unitary character "
-                "per factor); block of size %d got %s"
-                % (size, ",".join(str(v) for v in seg))
+                "per factor); block of size %d got %s" % (size, HalfIntVec(seg))
             )
-        lam_halves.extend(_character_block(size, seg[0]))
-    core_two = two_lambda(core)
-    lam_halves.extend(h / 2 for h in core_two.halves())
-    if any((2 * h).denominator != 1 for h in lam_halves):
+        lam_x4.extend(_character_block(size, seg[0]))
+    lam_x4.extend(two_lambda(core).doubled)
+    if any(c % 2 for c in lam_x4):
         raise ValueError(
             "xi does not make lambda half-integral: lambda would be (%s)"
-            % (",".join(str(h) for h in lam_halves))
+            % ",".join(str(Fraction(c, 4)) for c in lam_x4)
         )
-    lam = HalfIntVec.from_halves(lam_halves)
+    lam = HalfIntVec(tuple(c // 2 for c in lam_x4))
     datum = RootDatum(core.datum.family, len(lam))
     two_lam = lam + lam
     if not is_regular(two_lam, datum):

@@ -6,7 +6,8 @@ anchored at 1 for B/C resp. 0 for D (``sigma0``), and the remaining
 maximal runs ("floating" strings).  Unitary parameters are exactly the
 ones whose decomposition collapses to the anchored shapes; every other
 shape is rejected together with a pair of small K-types on which the
-invariant form is indefinite.
+invariant form is indefinite.  All of it runs on the doubled integer
+coordinates that ``HalfIntVec`` stores.
 
 Entry points:
 
@@ -19,8 +20,7 @@ Entry points:
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .weights import (
     HalfIntVec,
@@ -29,7 +29,6 @@ from .weights import (
     dominant_rep,
     is_dominant,
     is_regular,
-    vec,
 )
 from .characters import KType
 from .unipotent import canonical_param
@@ -89,12 +88,13 @@ class StringDecomp:
 
 
 def _run_len(cnt, start):
-    """Consume the maximal run start, start+1, ... (one copy each)."""
+    """Consume the maximal run start, start+1, ... (one copy each) of
+    doubled coordinates, which step by 2."""
     n = 0
     x = start
     while cnt[x] > 0:
         cnt[x] -= 1
-        x += 1
+        x += 2
         n += 1
     return n
 
@@ -103,22 +103,19 @@ def _extract(lam, datum):
     """Core extraction; returns (K0, N0, kappa_runs, sigma_runs, nested)
     with runs in extraction order (smallest bottom first)."""
     fam = datum.family
-    cnt = Counter(abs(c) for c in lam.halves())
-    k0 = _run_len(cnt, Fraction(1, 2))
-    s0 = _run_len(cnt, Fraction(1 if fam != "D" else 0))
+    cnt = Counter(abs(c) for c in lam.doubled)
+    k0 = _run_len(cnt, 1)
+    s0 = _run_len(cnt, 2 if fam != "D" else 0)
 
     kappa, sigma = [], []
-    for denom, out in ((2, kappa), (1, sigma)):
+    for parity, out in ((1, kappa), (0, sigma)):
         while True:
-            left = [x for x in cnt if x.denominator == denom and cnt[x] > 0]
+            left = [x for x in cnt if x % 2 == parity and cnt[x] > 0]
             if not left:
                 break
             b = min(left)
-            length = _run_len(cnt, b)
-            if denom == 2:
-                out.append((int(b + Fraction(1, 2)), int(b + length - Fraction(1, 2))))
-            else:
-                out.append((int(b), int(b + length - 1)))
+            bottom = (b + 1) // 2  # k of (k-1/2, ...) or n of (n, ...)
+            out.append((bottom, bottom + _run_len(cnt, b) - 1))
 
     # adjacency condition per parity class, in extraction order (anchored
     # run first): consecutive runs must be >= 2 apart or one must contain
@@ -200,12 +197,12 @@ class UnitarityVerdict:
 
 
 def _kt(datum, coords):
+    """The K-type with integer coordinates ``coords``, sorted and padded."""
     if len(coords) > datum.rank:
         raise RuntimeError(
             "witness K-type %s does not fit rank %d" % (coords, datum.rank))
-    hw = sorted(coords, reverse=True)
-    hw = hw + [0] * (datum.rank - len(hw))
-    return KType(vec(*hw), datum)
+    hw = sorted((2 * c for c in coords), reverse=True)
+    return KType(HalfIntVec(tuple(hw) + (0,) * (datum.rank - len(hw))), datum)
 
 
 def _trivial_kt(datum):
@@ -330,27 +327,28 @@ def _spherical_B(sd):
 
 
 def _string_values(sd):
-    """All strings of the decomposition as coordinate lists."""
+    """All strings of the decomposition as doubled coordinate lists."""
     out = []
     if sd.kappa0_len:
-        out.append([Fraction(2 * i - 1, 2) for i in range(1, sd.kappa0_len + 1)])
+        out.append(list(range(1, 2 * sd.kappa0_len, 2)))
     if sd.sigma0_len:
-        lo = 0 if sd.datum.family == "D" else 1
-        out.append([Fraction(lo + i) for i in range(sd.sigma0_len)])
+        lo = 0 if sd.datum.family == "D" else 2
+        out.append(list(range(lo, lo + 2 * sd.sigma0_len, 2)))
     for (k, K) in sd.kappa:
-        out.append([Fraction(2 * i - 1, 2) for i in range(k, K + 1)])
+        out.append(list(range(2 * k - 1, 2 * K, 2)))
     for (n, N) in sd.sigma:
-        out.append([Fraction(i) for i in range(n, N + 1)])
+        out.append(list(range(2 * n, 2 * N + 1, 2)))
     return out
 
 
 def _has_half_gap(strings):
-    """True if two different strings come within 1/2 of each other."""
+    """True if two different strings come within 1/2 of each other
+    (doubled distance 1)."""
     for i in range(len(strings)):
         for j in range(i + 1, len(strings)):
             for x in strings[i]:
                 for y in strings[j]:
-                    if abs(x - y) == Fraction(1, 2):
+                    if abs(x - y) == 1:
                         return True
     return False
 
@@ -435,40 +433,41 @@ _GL2_BLOCK = "gl2"        # lambda-block (1,0 \\ 0,-1), K-type entries (1,1)
 
 
 def _split_relevant(param, datum):
-    """Normalize and split into (block kind, spherical coordinate list)."""
+    """Normalize and split into (block kind, spherical coordinate list),
+    on doubled coordinates."""
     cp = canonical_param(param.lambda_L, param.lambda_R, datum)
     pairs = []
-    for l, r in zip(cp.lambda_L.halves(), cp.lambda_R.halves()):
+    for l, r in zip(cp.lambda_L.doubled, cp.lambda_R.doubled):
         pairs.append((l, r) if l - r >= 0 else (-l, -r))
     spherical = [l for (l, r) in pairs if l == r]
     block = sorted(((l, r) for (l, r) in pairs if l != r), reverse=True)
-    if any(l - r != 1 for (l, r) in block):
+    if any(l - r != 2 for (l, r) in block):
         raise ValueError("non-spherical block must have lowest K-type entries 1")
-    if block == [(Fraction(1, 2), Fraction(-1, 2))]:
+    if block == [(1, -1)]:
         kind = _HALF_BLOCK
-    elif block == [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1))]:
+    elif block == [(2, 0), (0, -2)]:
         if datum.family != "D":
             raise ValueError("the (1,0 \\ 0,-1) block only occurs in type D")
         kind = _GL2_BLOCK
     elif not block:
         raise ValueError("parameter is spherical; use spherical_unitarity")
     else:
-        raise ValueError("malformed non-spherical block %s" % (block,))
+        raise ValueError("malformed non-spherical block (%s \\ %s)" % (
+            HalfIntVec(tuple(l for l, _ in block)),
+            HalfIntVec(tuple(r for _, r in block))))
     return kind, spherical
 
 
 def _lift(datum, extra, kts):
     """Prepend ``extra`` coordinates to each witness K-type."""
-    out = []
-    for kt in kts:
-        coords = [int(c) for c in kt.hw.halves()] + list(extra)
-        out.append(_kt(datum, coords))
-    return tuple(out)
+    return tuple(
+        _kt(datum, [c // 2 for c in kt.hw.doubled] + list(extra)) for kt in kts)
 
 
-def _sub_decomp(values, family):
-    sub = RootDatum(family, len(values))
-    return _decompose(HalfIntVec.from_halves(sorted(values, reverse=True)), sub, strict=False), sub
+def _sub_decomp(doubled, family):
+    sub = RootDatum(family, len(doubled))
+    lam = HalfIntVec(tuple(sorted(doubled, reverse=True)))
+    return _decompose(lam, sub, strict=False), sub
 
 
 def relevant_unitarity(param, datum=None):
@@ -604,48 +603,43 @@ def _is_hermitian(pairs, fam):
     return parity == 0 or P[(0, 0)] > 0
 
 
+def _parity_classes(values):
+    """The doubled coordinates, integers then half-integers, each class
+    sorted descending; empty classes are left out."""
+    classes = (sorted((x for x in values if x % 2 == p), reverse=True) for p in (0, 1))
+    return [cls for cls in classes if cls]
+
+
 def _block_ok(values, r):
-    """May the level-r coordinates sit inside a unitary character of a
-    GL factor?  Per parity class: one consecutive run with top+bottom = r."""
-    for denom in (1, 2):
-        cls = sorted((x for x in values if x.denominator == denom), reverse=True)
-        if not cls:
-            continue
-        for a, b in zip(cls, cls[1:]):
-            if a - b != 1:
-                return False
-        if cls[0] + cls[-1] != r:
+    """May the level-r coordinates (doubled) sit inside a unitary
+    character of a GL factor?  Per parity class: one consecutive run
+    with top+bottom = r."""
+    for cls in _parity_classes(values):
+        if any(a - b != 2 for a, b in zip(cls, cls[1:])):
+            return False
+        if cls[0] + cls[-1] != 2 * r:
             return False
     return True
 
 
 def _gl_block_descriptors(values, r):
-    out = []
-    for denom in (1, 2):
-        cls = sorted((x for x in values if x.denominator == denom), reverse=True)
-        if cls:
-            out.append({
-                "level": r,
-                "size": len(cls),
-                "string": [str(x) if x.denominator == 1 else "%d/2" % (2 * x,)
-                           for x in cls],
-            })
-    return out
+    return [
+        {"level": r, "size": len(cls), "string": str(HalfIntVec(tuple(cls))).split(",")}
+        for cls in _parity_classes(values)
+    ]
 
 
 def _level_violation(datum, pairs, bad_level):
     """Witness for a level whose coordinates cannot form a character:
     the lowest K-type itself against the companion obtained by spreading
-    one copy of the level value."""
-    mu = sorted((l - r for (l, r) in pairs), reverse=True)
-    companion = [x for x in mu]
+    one copy of the level value.  ``pairs`` holds doubled coordinates."""
+    mu = sorted(((l - r) // 2 for (l, r) in pairs), reverse=True)
+    companion = list(mu)
     # replace the bad level's entries r^m by (r+1, r^(m-2), r-1)
     idx = [i for i, x in enumerate(companion) if x == bad_level]
     companion[idx[0]] = bad_level + 1
     companion[idx[-1]] = bad_level - 1
-    first = _kt(datum, [int(x) for x in mu])
-    second = _kt(datum, [int(x) for x in companion])
-    return (first, second)
+    return (_kt(datum, mu), _kt(datum, companion))
 
 
 def full_unitarity(param):
@@ -666,18 +660,16 @@ def full_unitarity(param):
         raise ValueError(
             "lowest K-type is not integral; genuine double-cover "
             "parameters are not classified here")
-    raw = list(zip(param.lambda_L.doubled, param.lambda_R.doubled))
-    if not _is_hermitian(raw, fam):
+    pairs = list(zip(param.lambda_L.doubled, param.lambda_R.doubled))
+    if not _is_hermitian(pairs, fam):
         raise ValueError("parameter is not Hermitian")
 
-    pairs = [(l, r) for l, r in zip(param.lambda_L.halves(),
-                                    param.lambda_R.halves())]
     if fam != "A":
         pairs = [(l, r) if l - r >= 0 else (-l, -r) for (l, r) in pairs]
 
     levels = {}
     for (l, r) in pairs:
-        levels.setdefault(int(l - r), []).append((l, r))
+        levels.setdefault((l - r) // 2, []).append((l, r))
 
     shape_levels = [r for r in sorted(levels) if (fam == "A" or r >= 1)]
     for r in shape_levels:
@@ -705,8 +697,8 @@ def full_unitarity(param):
         sub = _unitary("trivial", {"kind": "trivial", "rank": 0})
     else:
         sub_datum = RootDatum(fam, len(sub_pairs))
-        sub_l = HalfIntVec.from_halves(l for (l, _) in sub_pairs)
-        sub_r = HalfIntVec.from_halves(r for (_, r) in sub_pairs)
+        sub_l = HalfIntVec(tuple(l for (l, _) in sub_pairs))
+        sub_r = HalfIntVec(tuple(r for (_, r) in sub_pairs))
         if 1 in levels:
             sub = relevant_unitarity(ZhParam(sub_l, sub_r, sub_datum))
         else:

@@ -196,17 +196,18 @@ def dominant_rep(v, datum):
             "weight has %d coordinates, datum has rank %d"
             % (len(v), datum.rank)
         )
-    d = v.doubled
-    if datum.family == "A":
-        return HalfIntVec(tuple(sorted(d, reverse=True)))
-    mags = sorted((abs(c) for c in d), reverse=True)
-    if datum.family in ("B", "C"):
-        return HalfIntVec(tuple(mags))
-    # type D
-    negatives = sum(1 for c in d if c < 0)
-    if negatives % 2 == 1 and all(c != 0 for c in d):
+    return HalfIntVec(dominant_doubled(v.doubled, datum.family))
+
+
+def dominant_doubled(d, family):
+    """:func:`dominant_rep` on a nonempty sequence of doubled coordinates,
+    returned as a list."""
+    if family == "A":
+        return sorted(d, reverse=True)
+    mags = sorted(map(abs, d), reverse=True)
+    if family == "D" and mags[-1] and sum(c < 0 for c in d) % 2:
         mags[-1] = -mags[-1]
-    return HalfIntVec(tuple(mags))
+    return mags
 
 
 def is_dominant(v, datum):
@@ -229,15 +230,17 @@ def is_regular(v, datum):
     """No root pairing vanishes."""
     if len(v) != datum.rank:
         raise ValueError("rank mismatch")
-    d = v.doubled
-    if datum.family == "A":
+    return is_regular_doubled(v.doubled, datum.family)
+
+
+def is_regular_doubled(d, family):
+    """:func:`is_regular` on a tuple of doubled coordinates."""
+    if family == "A":
         return len(set(d)) == len(d)
-    mags = [abs(c) for c in d]
-    if len(set(mags)) != len(mags):
+    mags = set(map(abs, d))
+    if len(mags) != len(d):
         return False
-    if datum.family in ("B", "C"):
-        return all(m != 0 for m in mags)
-    return True  # D: a single zero coordinate is fine
+    return family == "D" or 0 not in mags  # D: a single zero is fine
 
 
 def is_half_integral(v):

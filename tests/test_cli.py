@@ -164,6 +164,15 @@ def test_precondition_violations_exit_2(capsys):
         assert err.startswith("error:"), argv
 
 
+def test_malformed_block_error_reads_as_half_integers(capsys):
+    code, _, err = run(
+        capsys, "unitarity", "--type", "D",
+        "--lambda-l", "1,1/2,0", "--lambda-r", "0,-1/2,-1",
+    )
+    assert code == 2
+    assert err.strip() == "error: malformed non-spherical block (1,1/2,0 \\ 0,-1/2,-1)"
+
+
 def test_invalid_orbit_is_a_result_not_an_error(capsys):
     rec = run_json(capsys, "catalog", "--type", "B", "--partition", "2,2")
     assert rec["valid"] is False

@@ -8,12 +8,15 @@ import pytest
 from diracdual.weights import (
     HalfIntVec,
     RootDatum,
+    ZhParam,
     dominant_rep,
     is_dominant,
     is_regular,
+    norm_sq_x4,
     rho,
 )
 from diracdual.characters import KType
+from diracdual.dirac import spin_norm_sq_x4
 from diracdual.unitarity import (
     decompose_strings,
     full_unitarity,
@@ -28,6 +31,15 @@ def v(s):
 
 def _witness_set(verdict):
     return {str(kt.hw) for kt in verdict.witness}
+
+
+def _dirac_slack(lam_l, lam_r, datum):
+    """||{mu - rho} + rho||^2 - ||lambda_L + lambda_R||^2 (times 4) for
+    the lowest K-type mu = {lambda_L - lambda_R}.  A unitary module
+    satisfies the Dirac inequality, so this is never negative on a
+    Unitary verdict."""
+    mu = KType(dominant_rep(lam_l - lam_r, datum), datum)
+    return spin_norm_sq_x4(mu) - norm_sq_x4(lam_l + lam_r)
 
 
 # -- the five recorded tables ---------------------------------------------------
@@ -161,6 +173,7 @@ def test_spherical_verdict_shape(family):
             if verdict.status == "Unitary":
                 assert verdict.certificate, (family, str(lam))
                 assert "witness" not in d
+                assert _dirac_slack(lam, lam, datum) >= 0, (family, str(lam))
             else:
                 assert verdict.witness, (family, str(lam))
                 for kt in verdict.witness:
@@ -334,6 +347,7 @@ def test_catalog_sweep_matches_independent_shape_check(family):
             if verdict.status != "Unitary":
                 continue
             unitary_hits += 1
+            assert _dirac_slack(lam, lam, datum) >= 0, (family, str(lam))
             cert = verdict.certificate
             # certificate re-synthesis: the parameter is pinned exactly
             if cert["kind"] == "trivial":
@@ -380,3 +394,95 @@ def test_string_decomposition_partitions_coordinates(family):
             assert sorted(rebuilt) == sorted(abs(c) for c in lam.halves()), (
                 family, str(lam), str(sd),
             )
+
+
+# -- full parameters: a seeded sweep over GL levels and the small blocks ------------
+
+
+def _full_draw(family, n, rng):
+    """A regular Hermitian non-spherical (lambda_L, lambda_R): GL levels
+    >= 2 holding a run symmetric about half the level (a unitary
+    character, or a split pair that is not one), at most one small block
+    ((1/2 \\ -1/2), or (1,0 \\ 0,-1) in type D) and spherical entries.
+    Pairs are built on doubled coordinates."""
+    while True:
+        block = rng.choice(("half", "gl2", "none") if family == "D" else ("half", "none"))
+        pairs = {"half": [(1, -1)], "gl2": [(2, 0), (0, -2)], "none": []}[block]
+        for _ in range(rng.choice((0, 1, 2) if pairs else (1, 2))):
+            level = rng.randint(2, 5)
+            if rng.random() < 0.75:
+                m = rng.randint(1, 3)
+                values = [level + m - 1 - 2 * i for i in range(m)]
+            else:
+                k = rng.randint(2, 6)
+                values = [level + k, level - k]
+            pairs += [(x, x - 2 * level) for x in values]
+        if len(pairs) > n:
+            continue
+        used = {abs(l) for l, _ in pairs}
+        pool = [c for c in range(0 if family == "D" else 1, 4 * n + 2) if c not in used]
+        spherical = rng.sample(pool, n - len(pairs))
+        if family == "D" and 0 not in spherical and len(spherical) % 2:
+            continue  # (c, c) -> (-c, -c) on an odd count, with no zero to absorb it
+        pairs += [(c, c) for c in spherical]
+        # flip whole pairs; type D's Weyl group flips evenly many
+        flips = [rng.random() < 0.5 for _ in pairs]
+        if family == "D" and sum(flips) % 2:
+            flips[flips.index(True)] = False
+        pairs = [(-l, -r) if f else (l, r) for f, (l, r) in zip(flips, pairs)]
+        rng.shuffle(pairs)
+        lam_l = HalfIntVec(tuple(l for l, _ in pairs))
+        lam_r = HalfIntVec(tuple(r for _, r in pairs))
+        datum = RootDatum(family, n)
+        if is_regular(lam_l, datum):
+            return ZhParam(lam_l, lam_r, datum)
+
+
+# cases that only the GL levels and the small blocks lead to
+_FULL_SWEEP_REACHES = {
+    "B": {"induced+relevant-B:character", "relevant-B:nontrivial-tail"},
+    "C": {"induced+relevant-C:character-induced", "relevant-C:separated-strings"},
+    "D": {
+        "induced+relevant-D:character",
+        "relevant-D:missing-sigma0",
+        "induced+relevant-D:gl2-character",
+        "relevant-D:gl2-nontrivial-tail",
+    },
+}
+
+
+@pytest.mark.parametrize("family", "BCD")
+def test_full_parameter_sweep(family):
+    rng = random.Random("full-" + family)
+    cases = set()
+    unitary = 0
+    for rank in (3, 4, 5, 6):
+        for _ in range(150):
+            param = _full_draw(family, rank, rng)
+            datum = param.datum
+            verdict = full_unitarity(param)
+            label = (family, str(param), verdict.case)
+            cases.add(verdict.case)
+            if verdict.status == "Unitary":
+                unitary += 1
+                assert verdict.certificate, label
+                assert _dirac_slack(param.lambda_L, param.lambda_R, datum) >= 0, label
+            else:
+                assert verdict.status == "NonUnitary", label
+                hws = [kt.hw for kt in verdict.witness]
+                assert 1 <= len(hws) == len(set(hws)) <= 2, label
+                for kt in verdict.witness:
+                    assert kt.datum == datum and kt.hw.is_integral, label
+    assert unitary >= 50, (family, unitary)
+    reached = _FULL_SWEEP_REACHES[family] | {"gl-string-violation", "induced+trivial"}
+    assert reached <= cases, (family, sorted(reached - cases))
+
+
+def test_malformed_block_names_its_coordinates():
+    # both small blocks at level 1 at once: not classified here, and the
+    # error shows the block as half-integers
+    param = ZhParam(v("1,1/2,0"), v("0,-1/2,-1"), RootDatum("D", 3))
+    with pytest.raises(
+        ValueError, match=r"^malformed non-spherical block \(1,1/2,0 \\ 0,-1/2,-1\)$"
+    ):
+        full_unitarity(param)
