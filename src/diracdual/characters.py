@@ -8,20 +8,23 @@ from the longest-element formula.  Everything is exact integer
 arithmetic on doubled coordinates.
 
 For repeated tensor-with-spin-module queries at rank 5-6 the generic
-path is too slow, so ``RhoTensorEngine`` precomputes the full weight
-multiset of V(rho) as a dense integer array together with the whole
-signed-permutation group, and answers multiplicity queries vectorized.
+path is too slow, so ``RhoTensorEngine`` builds the weight multiset of
+V(rho) as a dense integer array, in place on the support's bounding box,
+lays out the signed-permutation group as broadcast numpy tables, and
+answers each multiplicity query with one mask and one gather.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 import itertools
+import math
 
 import numpy as np
 
 from .weights import (
     HalfIntVec,
     RootDatum,
+    _rho_doubled,
     dominant_rep,
     is_dominant,
     is_regular_doubled,
@@ -294,14 +297,16 @@ def tensor_multiplicity(a, b, target):
 class RhoTensorEngine:
     """Answers [V(eta) (x) V(rho) : V(tau)] fast, for one root datum.
 
-    The weight multiset of V(rho) is a product of 2-term factors over
-    the positive roots, so it fills a dense box: we materialize it with
-    numpy shift-adds, precompute the whole Weyl group as permutation
-    and sign arrays, and evaluate the alternating sum
+    The weight multiset of V(rho) is e^rho times the product of
+    (1 + e^-alpha) over the positive roots: we build it in place, one
+    shift-add per root on the bounding box of the support so far, and
+    check that it holds all 2^|positive roots| weights.  The Weyl group
+    is the n! permutations broadcast against the allowed sign vectors,
+    with det(w) their outer product, and the alternating sum
 
         sum_w det(w) * m_rho( w(tau + rho) - eta - rho )
 
-    as one vectorized gather per query.
+    is one parity test, one range mask and one gather per query.
     """
 
     def __init__(self, datum):
@@ -309,75 +314,66 @@ class RhoTensorEngine:
             raise ValueError("engine covers the signed-permutation families")
         self.datum = datum
         n = datum.rank
-        r = rho(datum)
-        self._rho_doubled = np.array(r.doubled, dtype=np.int64)
-        lo = -max(r.doubled)
-        self._lo = lo
-        side = max(r.doubled) + 1  # doubled values step by 2
-        shape = (side,) * n
-        grid = np.zeros(shape, dtype=np.int64)
-        start = tuple((c - lo) // 2 for c in r.doubled)
-        grid[start] = 1
-        for alpha in datum.positive_roots():
-            shifted = np.zeros_like(grid)
-            src = [slice(None)] * n
-            dst = [slice(None)] * n
-            for axis, step in enumerate(alpha):
-                if step > 0:
-                    src[axis] = slice(step, None)
-                    dst[axis] = slice(None, -step)
-                elif step < 0:
-                    src[axis] = slice(None, step)
-                    dst[axis] = slice(-step, None)
-            shifted[tuple(dst)] = grid[tuple(src)]
-            grid += shifted
+        r = _rho_doubled(datum.family, n)
+        top = max(r)
+        self._rho_doubled = r
+        self._lo = -top
+        self._side = side = top + 1  # doubled values step by 2
+        grid = np.zeros((side,) * n, dtype=np.int64)
+        # [lo, hi) per axis: the bounding box of the support built so far
+        lo = [(c + top) // 2 for c in r]
+        hi = [c + 1 for c in lo]
+        grid[tuple(lo)] = 1
+        roots = datum.positive_roots()
+        for alpha in roots:
+            # times (1 + e^-alpha): add the box onto itself moved by
+            # -alpha (numpy buffers the overlap, so this is exact), then
+            # widen the box by the root's extent
+            src = tuple(map(slice, lo, hi))
+            dst = []
+            for i, s in enumerate(alpha):
+                dst.append(slice(lo[i] - s, hi[i] - s))
+                if s > 0:
+                    lo[i] -= s
+                elif s < 0:
+                    hi[i] -= s
+            grid[tuple(dst)] += grid[src]
+        if grid.sum() != 2 ** len(roots):
+            raise RuntimeError("V(rho) grid for %s lost weights" % (datum,))
         self._grid = grid
-        self._side = side
 
-        perms = []
-        signs = []
-        dets = []
-        sign_choices = [
-            s
-            for s in itertools.product((1, -1), repeat=n)
-            if datum.family in ("B", "C") or s.count(-1) % 2 == 0
-        ]
-        for perm in itertools.permutations(range(n)):
-            inv = sum(
-                1
-                for i in range(n)
-                for j in range(i + 1, n)
-                if perm[i] > perm[j]
-            )
-            psign = (-1) ** inv
-            for s in sign_choices:
-                perms.append(perm)
-                signs.append(s)
-                if datum.family == "D":
-                    dets.append(psign)
-                else:
-                    dets.append(psign * (1 if s.count(-1) % 2 == 0 else -1))
-        self._perms = np.array(perms, dtype=np.int64)
+        # itertools lists permutations in lexicographic order, so the ones
+        # starting with f have sign (-1)^f times that of the rest's order
+        psign = [1]
+        for k in range(2, n + 1):
+            psign = [-s if f & 1 else s for f in range(k) for s in psign]
+        # type D allows only evenly many sign changes, whose det is 1
+        signs = [s for s in itertools.product((1, -1), repeat=n)
+                 if datum.family != "D" or s.count(-1) % 2 == 0]
+        # element (p, s) sits at [p, s]: the perms broadcast against signs
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+        self._perms = perms[:, None, :]
         self._signs = np.array(signs, dtype=np.int64)
-        self._dets = np.array(dets, dtype=np.int64)
+        self._dets = np.multiply.outer(psign, [math.prod(s) for s in signs])
 
     def multiplicity(self, eta, tau):
-        """[V(eta) (x) V(rho) : V(tau)] for dominant eta, tau."""
-        t = np.array((tau + rho(self.datum)).doubled, dtype=np.int64)
-        base = np.array(eta.doubled, dtype=np.int64) + self._rho_doubled
-        images = self._signs * t[self._perms]  # |W| x n, doubled coords
-        rel = images - base - self._lo
-        ok = (
-            ((rel & 1) == 0).all(axis=1)
-            & (rel >= 0).all(axis=1)
-            & (rel < 2 * self._side).all(axis=1)
-        )
-        good = np.nonzero(ok)[0]
-        if len(good) == 0:
+        """[V(eta) (x) V(rho) : V(tau)] for dominant eta, tau, each all
+        integral or all half-integral."""
+        pe, pt = {c & 1 for c in eta.doubled}, {c & 1 for c in tau.doubled}
+        if len(pe) > 1 or len(pt) > 1:
+            raise ValueError("mixed integral/half-integral coordinates")
+        # rho has one parity too: each coordinate of w(tau + rho) - eta - rho
+        # has that of tau - eta, and a weight of V(rho) has that of rho
+        if (pe.pop() + pt.pop() + self._lo) & 1:
             return 0
-        sel = rel[good] >> 1
-        vals = self._grid[tuple(sel.T)]
-        return int((vals * self._dets[good]).sum())
+        r, lo = self._rho_doubled, self._lo
+        t = np.array([c + d for c, d in zip(tau.doubled, r)], dtype=np.int64)
+        base = np.array([c + d + lo for c, d in zip(eta.doubled, r)], dtype=np.int64)
+        idx = (t[self._perms] * self._signs - base) >> 1
+        # negative indices wrap to huge unsigned ones: one compare per cell
+        ok = (idx.view(np.uint64) < self._side).all(axis=2)
+        vals = self._grid[tuple(idx[ok].T)]
+        return int((vals * self._dets[ok]).sum())
 
 
 @lru_cache(maxsize=8)
