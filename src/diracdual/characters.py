@@ -265,30 +265,6 @@ def prv_component(a, b):
     return KType(dominant_rep(a.hw + w0_action(b.hw, datum), datum), datum)
 
 
-def tensor_multiplicity(a, b, target):
-    """[V(a) (x) V(b) : V(target)] without the full decomposition.
-
-    Same alternating sum, but only terms landing on the target count.
-    """
-    if a.datum != b.datum or a.datum != target.datum:
-        raise ValueError("datum mismatch")
-    datum = a.datum
-    if dim(b) > dim(a):
-        a, b = b, a
-    r = rho(datum)
-    shift = (a.hw + r).doubled
-    goal = (target.hw + r).doubled
-    total = 0
-    for wt, mult in weight_multiset(b.hw, datum).items():
-        t = tuple(s + w for s, w in zip(shift, wt))
-        if not is_regular_doubled(t, datum.family):
-            continue
-        dom, det = _to_dominant_with_det(t, datum.family)
-        if dom == goal:
-            total += det * mult
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Fast multiplicities in V(eta) (x) V(rho)
 # ---------------------------------------------------------------------------

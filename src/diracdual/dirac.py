@@ -16,6 +16,7 @@ squared norms.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import isqrt
 from operator import add, mul, sub
 
@@ -29,7 +30,7 @@ from .weights import (
     rho,
 )
 from .characters import KType, rho_tensor_engine
-from .spectrum import _highest_weights, kspectrum, search_norm_bound_x4, two_lambda
+from .spectrum import _shape, kspectrum, search_norm_bound_x4, two_lambda
 
 # The families whose K-spectra are catalogued in spectrum.kspectrum.
 SERIES_KINDS = ("B", "C_even", "C_odd", "D_even", "D_odd")
@@ -108,11 +109,18 @@ def spin_lkt_unipotent(fam, bound=None):
     ||eta|| > ||2 lambda|| + 2||rho|| satisfies
     ||{eta-rho}+rho|| >= ||eta-rho|| >= ||eta|| - ||rho||, which already
     exceeds every norm the scanned region produces, so no minimizer is
-    missed.  Only the K-types inside that ball are enumerated (the
-    bound is ``search_norm_bound_x4``); ``checks["candidates"]`` counts
-    them.  An explicit ``bound`` scans the whole box of K-types with
+    missed.  That ball (the bound is ``search_norm_bound_x4``) is the
+    region searched; ``checks["candidates"]`` counts its K-types.  An
+    explicit ``bound`` searches the whole box of K-types with
     coordinates at most ``bound`` instead (possibly truncated; the
     result records whether it was complete).
+
+    Within the region, spin norms are computed only near rho: by the
+    Dirac inequality ||{eta-rho}+rho||^2 >= ||eta-rho||^2 + ||rho||^2,
+    so ``_scan`` cuts every branch of its column walk that cannot reach
+    the best spin norm found so far, and counts the K-types it cut
+    exactly rather than listing them.  Only the tied minimizers are
+    sorted.
 
     The scan works on integer tuples and is cached per family and
     bound, so ``hd_multiplicity`` and ``parity_vanishing`` reuse it.
@@ -174,21 +182,95 @@ def spin_lkt_unipotent(fam, bound=None):
 @lru_cache(maxsize=256)
 def _scan(fam, cap, limit):
     """(minimum 4*spin norm, the minimizers' doubled highest weights in
-    (norm, hw) order, number of K-types scanned) over the family's
+    (norm, hw) order, number of K-types covered) over the family's
     K-types with coordinates at most cap and, unless limit is None,
-    norm_sq_x4 at most limit."""
-    datum = fam.datum
-    family, r = datum.family, rho(datum).doubled
-    hws = _highest_weights(fam, cap, limit)
-    best = None
-    minimizers = []
-    for hw in hws:
-        s = _spin_norm_sq_x4(hw, family, r)
-        if best is None or s < best:
-            best, minimizers = s, [hw]
-        elif s == best:
-            minimizers.append(hw)
-    return best, tuple(minimizers), len(hws)
+    norm_sq_x4 at most limit.
+
+    The columns are walked depth first, carrying the partial
+    4*||eta - rho||^2, which splits by column (the padding zeros add a
+    fixed sum of rho_i^2).  Since {eta - rho} and rho are both dominant,
+    ||{eta - rho} + rho||^2 >= ||eta - rho||^2 + ||rho||^2 (the Dirac
+    inequality), so a subtree whose partial sum, plus the least its
+    remaining columns can add, plus those fixed terms, exceeds the best
+    spin norm found so far holds no minimizer.  It is cut, and its
+    K-types are counted exactly by _count_columns instead of listed, so
+    the count covers the whole region."""
+    length, pad, weight, parity = _shape(fam)
+    family, r = fam.datum.family, rho(fam.datum).doubled
+    room = weight * length * cap * cap if limit is None else limit // 4
+    # cost[j][x]: what column j adds to 4*||eta - rho||^2 when it is x,
+    # sum over its coordinates c of (2x - c)^2
+    cost = []
+    for j in range(length):
+        col = r[weight * j : weight * (j + 1)]
+        s1, s2 = 4 * sum(col), sum(c * c for c in col)
+        cost.append([(4 * weight * x - s1) * x + s2 for x in range(cap + 1)])
+    # floor[j][t]: the least that columns j.. add when each is at most t
+    floor = [[0] * (cap + 1)]
+    for j in reversed(range(length)):
+        floor.append(list(map(add, accumulate(cost[j], min), floor[-1])))
+    floor.reverse()
+    fixed = sum(c * c for c in r[weight * length :]) + sum(c * c for c in r)
+    zeros = (0,) * pad
+    memo = {}
+    best, minimizers, covered = None, [], 0
+
+    def walk(j, top, left, partial, odd, head):
+        nonlocal best, minimizers, covered
+        if j == length:
+            if parity is None or odd == parity:
+                covered += 1
+                hw = head + zeros
+                s = _spin_norm_sq_x4(hw, family, r)
+                if best is None or s < best:
+                    best, minimizers = s, [hw]
+                elif s == best:
+                    minimizers.append(hw)
+            return
+        below = floor[j + 1]
+        # the most promising columns first, so that best falls early
+        xs = sorted(
+            range(min(top, isqrt(left // weight)) + 1),
+            key=lambda x: cost[j][x] + below[x],
+        )
+        for x in xs:
+            p = partial + cost[j][x]
+            rest = left - weight * x * x
+            if best is not None and p + below[x] + fixed > best:
+                need = None if parity is None else parity ^ odd ^ (x & 1)
+                covered += _count_columns(length - j - 1, x, rest, weight, need, memo)
+            else:
+                walk(j + 1, x, rest, p, odd ^ (x & 1), head + (2 * x,) * weight)
+
+    walk(0, cap, room, 0, 0, ())
+    minimizers.sort(key=lambda hw: (sum(c * c for c in hw), hw))
+    return best, tuple(minimizers), covered
+
+
+def _count_columns(length, top, room, weight, parity, memo):
+    """The number of weakly decreasing tuples of ``length`` integers in
+    [0, top] with weight * (sum of squares) at most room and, unless
+    parity is None, a sum of that parity.  ``memo`` is a dict kept for
+    one scan."""
+    top = min(top, isqrt(room // weight))
+    if length == 0 or top == 0:
+        return 0 if parity == 1 else 1
+    if length == 1:
+        return top + 1 if parity is None else (top - parity) // 2 + 1
+    # a room the whole box fits in counts like the box itself
+    room = min(room, weight * length * top * top)
+    key = (length, top, room, weight, parity)
+    total = memo.get(key)
+    if total is None:
+        total = sum(
+            _count_columns(
+                length - 1, x, room - weight * x * x, weight,
+                None if parity is None else parity ^ (x & 1), memo,
+            )
+            for x in range(top + 1)
+        )
+        memo[key] = total
+    return total
 
 
 def hd_multiplicity(fam, via_tensor=False):

@@ -21,6 +21,7 @@ spectra are not part of this catalog.
 """
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import isqrt
 
 from .weights import (
@@ -158,16 +159,11 @@ def kspectrum(fam, bound):
         yield KType(HalfIntVec(hw), datum)
 
 
-def _highest_weights(fam, bound, limit=None):
-    """The highest weights of the family's K-types, as doubled-coordinate
-    int tuples with every coordinate at most bound and, unless limit is
-    None, norm_sq_x4 at most limit; sorted by (norm_sq_x4, hw).
-
-    The free coordinates (the alpha columns; one column for C) are built
-    as weakly decreasing tuples one entry at a time, and a tuple stops
-    growing as soon as its partial sum of squares passes the limit, so
-    the work follows the norm ball rather than the whole box.
-    """
+def _shape(fam):
+    """(length, pad, weight, parity) of the family's highest weights:
+    ``length`` free weakly decreasing columns, each written ``weight``
+    times (the B shape repeats every column), then ``pad`` zeros; the
+    column sum must have the given parity (None: no condition)."""
     k = fam.kind
     if k in ("C_even", "C_odd"):
         length, pad = 1, fam.n - 1
@@ -178,26 +174,30 @@ def _highest_weights(fam, bound, limit=None):
     else:
         raise ValueError("no K-spectrum catalog for family %s" % (fam,))
     parity = {"C_even": 0, "C_odd": 1, "D_even": 0, "D_odd": 1}.get(k)
-    weight = 2 if k == "B" else 1  # the B shape repeats each column
-    # room for weight * (sum of squared columns); limit // 4 undoes the
-    # doubling, and without a limit the box alone decides
-    room = weight * length * bound * bound if limit is None else limit // 4
-    level = [((), bound, room)]
-    for _ in range(length):
-        level = [
-            (head + (2 * x,) * weight, x, left - weight * x * x)
-            for head, top, left in level
-            for x in range(min(top, isqrt(left // weight)) + 1)
-        ]
-    # norm_sq_x4 of a weight is 4 * (room - left), so this is (norm, hw)
-    # order; doubled sums mod 4 stand in for ordinary sums mod 2
+    return length, pad, 2 if k == "B" else 1, parity
+
+
+def _highest_weights(fam, bound):
+    """The highest weights of the family's K-types with every coordinate
+    at most bound, as doubled-coordinate int tuples sorted by
+    (norm_sq_x4, hw).
+
+    This is the box that ``kspectrum`` streams (for ``parity_vanishing``
+    and the CLI ``spectrum`` command).  The spin-LKT search does not list
+    K-types: ``dirac._scan`` walks the same columns and prunes them.
+    """
+    length, pad, weight, parity = _shape(fam)
     zeros = (0,) * pad
+    # the columns fix the weight and both halves of its sort key
     keyed = sorted(
-        (room - left, head + zeros)
-        for head, _, left in level
-        if parity is None or sum(head) % 4 == 2 * parity
+        (sum(x * x for x in cols), cols)
+        for cols in combinations_with_replacement(range(bound, -1, -1), length)
+        if parity is None or sum(cols) % 2 == parity
     )
-    return [hw for _, hw in keyed]
+    return [
+        tuple(2 * x for x in cols for _ in range(weight)) + zeros
+        for _, cols in keyed
+    ]
 
 
 def search_norm_bound_x4(fam):

@@ -243,15 +243,6 @@ def is_regular_doubled(d, family):
     return family == "D" or 0 not in mags  # D: a single zero is fine
 
 
-def is_half_integral(v):
-    """True when 2v is integral but v itself is not.
-
-    Doubled storage makes 2v integral automatically, so this just says
-    some coordinate has an odd doubled value.
-    """
-    return not v.is_integral
-
-
 def nspan_coefficients(v, datum):
     """Expand v over the simple roots; None unless all coefficients are
     nonnegative integers.

@@ -23,7 +23,6 @@ from diracdual.characters import (
     prv_component,
     rho_tensor_engine,
     tensor_decompose,
-    tensor_multiplicity,
 )
 
 
@@ -136,16 +135,6 @@ def test_tensor_with_genuine_factor():
     assert {kt.hw.doubled: m for kt, m in got} == oracle.tensor_decompose(
         "B", 2, a, b
     )
-
-
-def test_tensor_multiplicity_matches_decomposition():
-    datum = RootDatum("C", 3)
-    a = KType(vec(2, 1, 0), datum)
-    b = KType(vec(1, 1, 1), datum)
-    dec = tensor_decompose(a, b)
-    for kt, m in dec:
-        assert tensor_multiplicity(a, b, kt) == m
-    assert tensor_multiplicity(a, b, KType(vec(9, 0, 0), datum)) == 0
 
 
 # -- minimal-norm component ---------------------------------------------------

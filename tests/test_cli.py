@@ -104,6 +104,15 @@ def test_dirac_vanishing_json(capsys):
     assert rec["tau"] is None and rec["multiplicity"] is None
 
 
+def test_dirac_rank_eight_json(capsys, monkeypatch):
+    # the complete search at rank 8, through the CLI
+    monkeypatch.delenv("DIRAC_SERIES_BOUND", raising=False)
+    rec = run_json(capsys, "dirac", "--family", "D_even", "--a", "4", "--b", "4")
+    assert rec["checks"]["complete"] is True
+    assert rec["nonzero"] is True
+    assert rec["spin_lkts"] == [["7,6,5,4,3,2,1,0", 1]]
+
+
 def test_spin_lkt_json(capsys):
     rec = run_json(capsys, "spin-lkt", "--family", "B", "--a", "1", "--b", "2")
     assert rec["floor_attained"] is True

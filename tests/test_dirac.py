@@ -1,6 +1,7 @@
 """Spin norms, the norm floor ||2 lambda||, and Dirac cohomology of the
 catalogued families and their GL-induced relatives."""
 
+from itertools import combinations_with_replacement
 from math import isqrt
 
 import pytest
@@ -16,6 +17,7 @@ from diracdual.spectrum import (
 )
 from diracdual.dirac import (
     DiracResult,
+    _count_columns,
     _spin_norm_sq_x4,
     dirac_induced,
     hd_multiplicity,
@@ -234,6 +236,129 @@ def test_rank_seven_families_complete():
             assert res.checks["min_spin_norm_sq_x4"] == floor, str(f)
         else:
             assert res.checks["min_spin_norm_sq_x4"] > floor, str(f)
+
+
+def test_rank_eight_to_ten_families_complete():
+    # the Dirac-inequality cuts keep the search complete, and the
+    # candidate count exact, well past the reach of listing the ball
+    for f, want, candidates in (
+        (fam("D_even", 4, 4), True, 1989340),
+        (fam("D_odd", 4, 4), False, 1983233),
+        (fam("B", 4, 5), True, None),
+        (fam("D_even", 4, 5), True, None),
+        (fam("D_odd", 5, 5), True, None),
+    ):
+        res = spin_lkt_unipotent(f)
+        assert res.checks["complete"], str(f)
+        assert res.nonzero == want == res.checks.get("parity_rule_nonzero", True), str(f)
+        if candidates is not None:
+            assert res.checks["candidates"] == candidates, str(f)
+        floor = res.checks["two_lambda_norm_sq_x4"]
+        if want:
+            assert len(res.spin_lkts) == 1, str(f)
+            assert res.checks["min_spin_norm_sq_x4"] == floor, str(f)
+        else:
+            assert res.checks["min_spin_norm_sq_x4"] > floor, str(f)
+
+
+def _ball_highest_weights(fam, bound, limit):
+    """The listing the pruned search replaced: every highest weight of
+    the family with coordinates at most bound and norm_sq_x4 at most
+    limit, as doubled tuples sorted by (norm_sq_x4, hw)."""
+    k = fam.kind
+    if k in ("C_even", "C_odd"):
+        length, pad = 1, fam.n - 1
+    elif k == "B":
+        length, pad = fam.a, fam.b - fam.a
+    else:
+        length, pad = 2 * fam.a, fam.b - fam.a
+    parity = {"C_even": 0, "C_odd": 1, "D_even": 0, "D_odd": 1}.get(k)
+    weight = 2 if k == "B" else 1
+    room = limit // 4
+    level = [((), bound, room)]
+    for _ in range(length):
+        level = [
+            (head + (2 * x,) * weight, x, left - weight * x * x)
+            for head, top, left in level
+            for x in range(min(top, isqrt(left // weight)) + 1)
+        ]
+    zeros = (0,) * pad
+    keyed = sorted(
+        (room - left, head + zeros)
+        for head, _, left in level
+        if parity is None or sum(head) % 4 == 2 * parity
+    )
+    return [hw for _, hw in keyed]
+
+
+def _ball_reference_result(f):
+    """The complete search as a ball listing with a spin norm for every
+    K-type in it; returns the expected DiracResult."""
+    datum = f.datum
+    limit = search_norm_bound_x4(f)
+    cap = isqrt(limit // 4)
+    hws = _ball_highest_weights(f, cap, limit)
+    r = rho(datum).doubled
+    norms = [_spin_norm_sq_x4(hw, datum.family, r) for hw in hws]
+    best = min(norms)
+    minimizers = [KType(HalfIntVec(hw), datum) for hw, s in zip(hws, norms) if s == best]
+    target = norm_sq_x4(two_lambda(f))
+    checks = {
+        "min_spin_norm_sq_x4": best,
+        "two_lambda_norm_sq_x4": target,
+        "coordinate_bound": cap,
+        "candidates": len(hws),
+        "complete": True,
+    }
+    rule = {
+        "C_even": f.n % 2 == 0,
+        "C_odd": f.n % 2 == 1,
+        "D_even": f.a % 2 == 0,
+        "D_odd": f.a % 2 == 1,
+    }.get(f.kind)
+    if rule is not None:
+        checks["parity_rule_nonzero"] = rule
+    if best != target:
+        return DiracResult(False, None, None, tuple((m, 1) for m in minimizers), checks)
+    assert len(minimizers) == 1, str(f)
+    tau = KType(dominant_rep(two_lambda(f), datum) - rho(datum), datum)
+    return DiracResult(True, tau, 2 ** (datum.rank // 2), ((minimizers[0], 1),), checks)
+
+
+def test_search_matches_ball_listing_to_size_eight():
+    # every field, checks included, for the families of size <= 8 whose
+    # balls hold at most 250k K-types
+    big = {
+        fam("D_even", 3, 5), fam("D_odd", 3, 5),
+        fam("D_even", 4, 4), fam("D_odd", 4, 4),
+    }
+    families = [f for f in _all_families(8, 8) if f not in big]
+    assert len(families) == 60
+    for f in families:
+        want = _ball_reference_result(f)
+        got = spin_lkt_unipotent(f)
+        assert got == want and got.checks == want.checks, str(f)
+
+
+@settings(max_examples=300)
+@given(
+    length=st.integers(0, 5),
+    top=st.integers(0, 7),
+    room=st.integers(0, 120),
+    weight=st.sampled_from((1, 2)),
+    parity=st.sampled_from((None, 0, 1)),
+)
+def test_count_columns_matches_enumeration(length, top, room, weight, parity):
+    want = sum(
+        1
+        for cols in combinations_with_replacement(range(top, -1, -1), length)
+        if weight * sum(x * x for x in cols) <= room
+        and (parity is None or sum(cols) % 2 == parity)
+    )
+    memo = {}
+    assert _count_columns(length, top, room, weight, parity, memo) == want
+    # a second query answers from the same memo
+    assert _count_columns(length, top, room, weight, parity, memo) == want
 
 
 # -- parity of the index ------------------------------------------------------------

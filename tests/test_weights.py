@@ -12,7 +12,6 @@ from diracdual.weights import (
     RootDatum,
     dominant_rep,
     is_dominant,
-    is_half_integral,
     is_regular,
     norm_sq_x4,
     nspan_coefficients,
@@ -70,7 +69,6 @@ def test_arithmetic():
 def test_is_integral():
     assert vec(1, 2).is_integral
     assert not HalfIntVec.parse("1/2,1").is_integral
-    assert is_half_integral(HalfIntVec.parse("1/2,1"))
 
 
 # -- rho ---------------------------------------------------------------------
