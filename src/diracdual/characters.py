@@ -7,28 +7,27 @@ shifted weights away), and the lowest constituent of a tensor product
 from the longest-element formula.  Everything is exact integer
 arithmetic on doubled coordinates.
 
-For repeated tensor-with-spin-module queries at rank 5-6 the generic
-path is too slow, so ``RhoTensorEngine`` builds the weight multiset of
-V(rho) as a dense integer array, in place on the support's bounding box,
-lays out the signed-permutation group as broadcast numpy tables, and
-answers each multiplicity query with one mask and one gather.
+For repeated tensor-with-spin-module queries the generic path is too
+slow, so ``RhoTensorEngine`` keeps the dominant weight multiplicities of
+V(rho), built one rank at a time from a product formula for its
+character, and answers a query by a pruned walk over the Weyl group.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 import itertools
 import math
-
-import numpy as np
+import operator
 
 from .weights import (
     HalfIntVec,
     RootDatum,
     _rho_doubled,
+    dominant_doubled,
     dominant_rep,
     is_dominant,
     is_regular_doubled,
-    norm_sq_x4,
     nspan_coefficients,
     pairing_x2,
     rho,
@@ -116,29 +115,26 @@ def dim(kt):
 @lru_cache(maxsize=200000)
 def _freudenthal(datum, hw_doubled, wt_doubled):
     """Multiplicity of the *dominant* weight wt in V(hw)."""
-    hw = HalfIntVec(hw_doubled)
-    wt = HalfIntVec(wt_doubled)
     if wt_doubled == hw_doubled:
         return 1
     # a dominant weight occurs iff hw - wt is an N-combination of
     # simple roots; this also guards the division below
-    if nspan_coefficients(hw - wt, datum) is None:
+    if nspan_coefficients(HalfIntVec(hw_doubled) - HalfIntVec(wt_doubled), datum) is None:
         return 0
-    r = rho(datum)
-    gap = norm_sq_x4(hw + r) - norm_sq_x4(wt + r)
+    r = rho(datum).doubled
+    gap = sum((h + c) ** 2 - (w + c) ** 2 for h, w, c in zip(hw_doubled, wt_doubled, r))
     assert gap > 0, "dominant weight below the highest weight has a gap"
     total = 0
     for alpha in datum.positive_roots():
-        step = HalfIntVec(tuple(2 * a for a in alpha))
-        nu = wt
+        nu = wt_doubled
         while True:
-            nu = nu + step
-            m = _freudenthal(datum, hw_doubled, dominant_rep(nu, datum).doubled)
+            nu = [c + 2 * a for c, a in zip(nu, alpha)]
+            m = _freudenthal(datum, hw_doubled, tuple(dominant_doubled(nu, datum.family)))
             if m == 0:
                 # once outside the hull, walking further along alpha
                 # stays outside
                 break
-            total += m * pairing_x2(nu, alpha)
+            total += m * sum(map(operator.mul, nu, alpha))
     q, rem = divmod(4 * total, gap)
     assert rem == 0, "Freudenthal recursion must divide exactly"
     return q
@@ -147,20 +143,16 @@ def _freudenthal(datum, hw_doubled, wt_doubled):
 def dominant_weights(hw, datum):
     """All dominant weights of the module with highest weight hw, with
     multiplicities, as {doubled tuple: mult}."""
-    out = {}
     queue = [dominant_rep(hw, datum).doubled]
-    seen = {queue[0]}
+    out, seen = {}, {queue[0]}
     while queue:
         cur = queue.pop()
         m = _freudenthal(datum, hw.doubled, cur)
         if m == 0:
             continue
         out[cur] = m
-        v = HalfIntVec(cur)
         for alpha in datum.positive_roots():
-            nxt = dominant_rep(
-                v - HalfIntVec(tuple(2 * a for a in alpha)), datum
-            ).doubled
+            nxt = tuple(dominant_doubled([c - 2 * a for c, a in zip(cur, alpha)], datum.family))
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -169,30 +161,24 @@ def dominant_weights(hw, datum):
 
 def _orbit(doubled, family):
     """The full Weyl orbit of a doubled coordinate vector, as a set."""
-    out = set()
     if family == "A":
         return set(itertools.permutations(doubled))
-    has_zero = any(c == 0 for c in doubled)
-    neg_parity = sum(1 for c in doubled if c < 0) % 2
-    for perm in set(itertools.permutations(tuple(abs(c) for c in doubled))):
+    # type D changes evenly many signs, so without a zero coordinate the
+    # parity of the negative count is an orbit invariant
+    parity = sum(c < 0 for c in doubled) % 2 if family == "D" and 0 not in doubled else None
+    out = set()
+    for perm in set(itertools.permutations(map(abs, doubled))):
         for signs in itertools.product((1, -1), repeat=len(perm)):
-            if family == "D" and not has_zero:
-                # only evenly many sign changes exist, so the parity of
-                # the negative-coordinate count is an orbit invariant
-                negs = sum(1 for s, c in zip(signs, perm) if s < 0 and c != 0)
-                if negs % 2 != neg_parity:
-                    continue
-            out.add(tuple(s * c for s, c in zip(signs, perm)))
+            v = tuple(map(operator.mul, signs, perm))
+            if parity is None or sum(c < 0 for c in v) % 2 == parity:
+                out.add(v)
     return out
 
 
 def weight_multiset(hw, datum):
     """Every weight of V(hw) with its multiplicity, as {doubled: mult}."""
-    out = {}
-    for dom, m in dominant_weights(hw, datum).items():
-        for w in _orbit(dom, datum.family):
-            out[w] = m
-    return out
+    return {w: m for dom, m in dominant_weights(hw, datum).items()
+            for w in _orbit(dom, datum.family)}
 
 
 # ---------------------------------------------------------------------------
@@ -200,34 +186,15 @@ def weight_multiset(hw, datum):
 # ---------------------------------------------------------------------------
 
 
-def _sort_sign(values):
-    """Stable descending sort plus the sign of the sorting permutation."""
-    idx = sorted(range(len(values)), key=lambda i: -values[i])
-    inversions = 0
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            if idx[a] > idx[b]:
-                inversions += 1
-    return [values[i] for i in idx], (-1) ** inversions
-
-
 def _to_dominant_with_det(doubled, family):
     """Map a regular vector to its dominant representative, returning
-    (dominant doubled tuple, det of the Weyl element used)."""
-    if family == "A":
-        vals, sign = _sort_sign(list(doubled))
-        return tuple(vals), sign
-    mags = [abs(c) for c in doubled]
-    flips = sum(1 for c in doubled if c < 0)
-    vals, sign = _sort_sign(mags)
-    if family in ("B", "C"):
-        return tuple(vals), sign * ((-1) ** flips)
-    # type D: only even sign-change counts are allowed; an odd count
-    # moves to the last (smallest-magnitude) coordinate, or is absorbed
-    # by a zero coordinate.  det is the permutation sign either way.
-    if flips % 2 == 1 and all(c != 0 for c in doubled):
-        vals[-1] = -vals[-1]
-    return tuple(vals), sign
+    (dominant doubled tuple, det of the Weyl element used): the sign of
+    the sorting permutation, times (-1)^(sign flips) in types B and C (in
+    type D the flips come in pairs, or move onto a zero)."""
+    mags = doubled if family == "A" else [abs(c) for c in doubled]
+    inversions = sum(a < b for i, a in enumerate(mags) for b in mags[i + 1:])
+    flips = sum(c < 0 for c in doubled) if family in "BC" else 0
+    return tuple(dominant_doubled(doubled, family)), (-1) ** (inversions + flips)
 
 
 def tensor_decompose(a, b):
@@ -239,20 +206,14 @@ def tensor_decompose(a, b):
         a, b = b, a
     r = rho(datum)
     shift = (a.hw + r).doubled
-    acc = {}
+    acc = Counter()
     for wt, mult in weight_multiset(b.hw, datum).items():
         t = tuple(s + w for s, w in zip(shift, wt))
-        if not is_regular_doubled(t, datum.family):
-            continue
-        dom, det = _to_dominant_with_det(t, datum.family)
-        tau = tuple(d - rr for d, rr in zip(dom, r.doubled))
-        acc[tau] = acc.get(tau, 0) + det * mult
-        if acc[tau] == 0:
-            del acc[tau]
-    out = {}
-    for tau, m in acc.items():
-        assert m > 0, "negative net multiplicity: singular bookkeeping bug"
-        out[KType(HalfIntVec(tau), datum)] = m
+        if is_regular_doubled(t, datum.family):
+            dom, det = _to_dominant_with_det(t, datum.family)
+            acc[tuple(d - rr for d, rr in zip(dom, r.doubled))] += det * mult
+    assert min(acc.values(), default=0) >= 0, "negative net multiplicity"
+    out = {KType(HalfIntVec(tau), datum): m for tau, m in acc.items() if m}
     return Decomposition.from_dict(out)
 
 
@@ -270,67 +231,85 @@ def prv_component(a, b):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _rho_weight_table(family, rank):
+    """The weight multiplicities of V(rho) for B/C/D of this rank, keyed by
+    the weights' sorted magnitudes (doubled).  The character is
+
+        prod_{alpha>0} (e^{alpha/2} + e^{-alpha/2}) = prod_i f(x_i) prod_{i<j} (c_i + c_j)
+
+    with c = e^x + e^-x and f = e^{x/2} + e^{-x/2} (B), c (C) or 1 (D).
+    Every factor is even in every x_i, so m_rho is invariant under all
+    signed permutations, in type D too.  Splitting off x_1 leaves V(rho)
+    one rank lower: each j > 1 gives the c_1 of c_1 + c_j to x_1 or moves
+    mu_j by -+1, and after k such c_1 x_1 takes [e^{mu_1 x}] f(x) c(x)^k.
+    """
+    if rank == 0:
+        return {(): 1}
+    below = _rho_weight_table(family, rank - 1)
+    coef = [Counter() for _ in range(rank)]  # coef[k][m] = [e^{m x/2}] f c^k
+    for j, k in itertools.combinations_with_replacement(range(rank), 2):
+        for e in {"B": (1, -1), "C": (2, -2), "D": (0,)}[family]:
+            coef[k][2 * (k - 2 * j) + e] += math.comb(k, j)
+    r = _rho_doubled(family, rank)
+    # rho one rank lower is r[1:]: its box and its ball hold every key below
+    box, cap = (r[1] if rank > 1 else 0), sum(c * c for c in r[1:])
+    table = {}
+    for key in itertools.combinations_with_replacement(range(r[0], -1, -2), rank):
+        # a weight iff rho - key is in the N-span of the simple roots: for
+        # sorted magnitudes, prefix sums >= 0 and an even total in C and D
+        p = list(itertools.accumulate(map(operator.sub, r, key)))
+        if min(p) < 0 or family != "B" and p[-1] & 3:
+            continue
+        row = [c[key[0]] for c in coef]
+        kmin, left = next(k for k, c in enumerate(row) if c), rank - 1
+        states = [(0, 1, (), 0)]  # (c_1 taken, weight, magnitudes, their norm)
+        for v, group in itertools.groupby(key[1:]):
+            cnt = len(list(group))
+            left -= cnt
+            states = [(k + z, wt * w, parts + add, norm + sq)
+                      for z, w, add, sq in _moves(v, cnt, box) for k, wt, parts, norm in states
+                      if k + z + left >= kmin and norm + sq <= cap]
+        table[key] = sum(row[k] * wt * below.get(tuple(sorted(parts, reverse=True)), 0)
+                         for k, wt, parts, _ in states if row[k])
+    return table
+
+
+@lru_cache(maxsize=None)
+def _moves(v, cnt, box):
+    """Ways for cnt coordinates of magnitude v to give c_1 (d = 0) or move
+    to |v - d| (d = +-2), as (c_1 given, count, magnitudes, their norm)."""
+    out = []
+    for ds in itertools.combinations_with_replacement((0, 2, -2), cnt):
+        add = tuple(abs(v - d) for d in ds)
+        count = math.factorial(cnt) // math.prod(map(math.factorial, map(ds.count, (0, 2, -2))))
+        out += [(ds.count(0), count, add, sum(a * a for a in add))] * (max(add) <= box)
+    return out
+
+
 class RhoTensorEngine:
-    """Answers [V(eta) (x) V(rho) : V(tau)] fast, for one root datum.
+    """Answers [V(eta) (x) V(rho) : V(tau)] fast, for one root datum, as
+    sum_w det(w) * m_rho(w(tau + rho) - eta - rho).
 
-    The weight multiset of V(rho) is e^rho times the product of
-    (1 + e^-alpha) over the positive roots: we build it in place, one
-    shift-add per root on the bounding box of the support so far, and
-    check that it holds all 2^|positive roots| weights.  The Weyl group
-    is the n! permutations broadcast against the allowed sign vectors,
-    with det(w) their outer product, and the alternating sum
-
-        sum_w det(w) * m_rho( w(tau + rho) - eta - rho )
-
-    is one parity test, one range mask and one gather per query.
+    A query walks the signed permutations one coordinate at a time,
+    carrying det(w), and cuts every branch that leaves the box
+    |mu_i| <= rho_1 or the balls ||mu|| <= ||rho||, |mu|_1 <= |rho|_1 that
+    hold every weight.  m_rho comes from ``_rho_weight_table``, which must
+    hold all 2^|positive roots| weights (else RuntimeError).
     """
 
     def __init__(self, datum):
         if datum.family == "A":
             raise ValueError("engine covers the signed-permutation families")
-        self.datum = datum
-        n = datum.rank
-        r = _rho_doubled(datum.family, n)
-        top = max(r)
-        self._rho_doubled = r
-        self._lo = -top
-        self._side = side = top + 1  # doubled values step by 2
-        grid = np.zeros((side,) * n, dtype=np.int64)
-        # [lo, hi) per axis: the bounding box of the support built so far
-        lo = [(c + top) // 2 for c in r]
-        hi = [c + 1 for c in lo]
-        grid[tuple(lo)] = 1
-        roots = datum.positive_roots()
-        for alpha in roots:
-            # times (1 + e^-alpha): add the box onto itself moved by
-            # -alpha (numpy buffers the overlap, so this is exact), then
-            # widen the box by the root's extent
-            src = tuple(map(slice, lo, hi))
-            dst = []
-            for i, s in enumerate(alpha):
-                dst.append(slice(lo[i] - s, hi[i] - s))
-                if s > 0:
-                    lo[i] -= s
-                elif s < 0:
-                    hi[i] -= s
-            grid[tuple(dst)] += grid[src]
-        if grid.sum() != 2 ** len(roots):
-            raise RuntimeError("V(rho) grid for %s lost weights" % (datum,))
-        self._grid = grid
-
-        # itertools lists permutations in lexicographic order, so the ones
-        # starting with f have sign (-1)^f times that of the rest's order
-        psign = [1]
-        for k in range(2, n + 1):
-            psign = [-s if f & 1 else s for f in range(k) for s in psign]
-        # type D allows only evenly many sign changes, whose det is 1
-        signs = [s for s in itertools.product((1, -1), repeat=n)
-                 if datum.family != "D" or s.count(-1) % 2 == 0]
-        # element (p, s) sits at [p, s]: the perms broadcast against signs
-        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-        self._perms = perms[:, None, :]
-        self._signs = np.array(signs, dtype=np.int64)
-        self._dets = np.multiply.outer(psign, [math.prod(s) for s in signs])
+        self.datum, n = datum, datum.rank
+        self._rho_doubled = _rho_doubled(datum.family, n)
+        self._table = _rho_weight_table(datum.family, n)
+        # m times the number of vectors with the magnitudes in key
+        total = sum(m * (math.factorial(n) << sum(map(bool, key)))
+                    // math.prod(map(math.factorial, Counter(key).values()))
+                    for key, m in self._table.items())
+        if total != 2 ** len(datum.positive_roots()):
+            raise RuntimeError("V(rho) table for %s lost weights" % (datum,))
 
     def multiplicity(self, eta, tau):
         """[V(eta) (x) V(rho) : V(tau)] for dominant eta, tau, each all
@@ -338,18 +317,45 @@ class RhoTensorEngine:
         pe, pt = {c & 1 for c in eta.doubled}, {c & 1 for c in tau.doubled}
         if len(pe) > 1 or len(pt) > 1:
             raise ValueError("mixed integral/half-integral coordinates")
+        r = self._rho_doubled
         # rho has one parity too: each coordinate of w(tau + rho) - eta - rho
         # has that of tau - eta, and a weight of V(rho) has that of rho
-        if (pe.pop() + pt.pop() + self._lo) & 1:
+        if (pe.pop() + pt.pop() + r[0]) & 1:
             return 0
-        r, lo = self._rho_doubled, self._lo
-        t = np.array([c + d for c, d in zip(tau.doubled, r)], dtype=np.int64)
-        base = np.array([c + d + lo for c, d in zip(eta.doubled, r)], dtype=np.int64)
-        idx = (t[self._perms] * self._signs - base) >> 1
-        # negative indices wrap to huge unsigned ones: one compare per cell
-        ok = (idx.view(np.uint64) < self._side).all(axis=2)
-        vals = self._grid[tuple(idx[ok].T)]
-        return int((vals * self._dets[ok]).sum())
+        t = [c + d for c, d in zip(tau.doubled, r, strict=True)]
+        n, top, ball, l1 = len(t), r[0], sum(c * c for c in r), sum(r)
+        # type D changes evenly many signs, with det 1; a zero in t absorbs
+        # an odd count.  rows[i][j]: where t_j may go as coordinate i, as
+        # (|mu_i|, mu_i^2, det factor, sign changes)
+        flip = -1 if self.datum.family != "D" else 1
+        even_only = flip == 1 and 0 not in t
+        rows = [[[(abs(x), x * x, s, f) for x, s, f in ((c - b, 1, 0), (-c - b, flip, 1))
+                  if abs(x) <= top and (flip < 0 or c or not f)] for c in t]
+                for b in (e + c_r for e, c_r in zip(eta.doubled, r, strict=True))]
+        # the most constrained coordinates first; det takes the reordering
+        order = sorted(range(n), key=lambda i: sum(map(len, rows[i])))
+        rows = [rows[i] for i in order]
+        det0 = (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+        mu, table = [0] * n, self._table
+
+        def walk(i, det, sq, ab, rest, flips):
+            total = 0
+            for k, j in enumerate(rest):
+                d = -det if k & 1 else det  # k unused indices lie below j
+                for a, a2, s, f in rows[i][j]:
+                    if sq + a2 > ball or ab + a > l1:
+                        continue
+                    mu[i] = a
+                    if i + 1 < n:
+                        total += walk(i + 1, d * s, sq + a2, ab + a,
+                                      rest[:k] + rest[k + 1:], flips + f)
+                    elif not (even_only and (flips + f) & 1):
+                        total += d * s * table.get(tuple(sorted(mu, reverse=True)), 0)
+            return total
+
+        total = walk(0, 1, 0, 0, tuple(range(n)), 0)
+        del walk  # it refers to itself: free it now, not at the next gc
+        return det0 * total
 
 
 @lru_cache(maxsize=8)

@@ -70,12 +70,6 @@ class StringDecomp:
     def has_extras(self):
         return bool(self.kappa) or bool(self.sigma)
 
-    def coordinate_count(self):
-        total = self.kappa0_len + self.sigma0_len
-        total += sum(K - k + 1 for (k, K) in self.kappa)
-        total += sum(N - n + 1 for (n, N) in self.sigma)
-        return total
-
     def __str__(self):
         parts = []
         if self.kappa0_len:

@@ -1,95 +1,118 @@
-"""The V(rho) tensor engine against the dense build it replaced: the same
-grid, the same multiplicities, the build postcondition and the parity
-precondition of a query."""
+"""The V(rho) tensor engine against the dense engine it replaced: the same
+multiplicities, the same weight multiplicities m_rho, the build
+postcondition, the parity precondition of a query, and the ranks the dense
+grid could not reach."""
 
 import itertools
+import math
+import pkgutil
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import diracdual
 from diracdual import characters
 from diracdual.characters import KType, RhoTensorEngine
+from diracdual.dirac import hd_multiplicity
+from diracdual.spectrum import UnipotentFamily
 from diracdual.weights import HalfIntVec, RootDatum, dominant_rep, is_dominant, rho
 
 
-class _ReferenceEngine:
-    """The earlier engine, kept as a cross-check: a full-grid copy and add
-    per positive root, and a Python loop over every Weyl group element."""
+class _DenseEngine:
+    """The earlier engine, kept as a cross-check: the weight multiset of
+    V(rho) as a dense grid, built in place by one shift-add per positive
+    root, and the Weyl group as broadcast permutation-by-sign tables."""
 
     def __init__(self, datum):
-        self.datum = datum
         n = datum.rank
-        r = rho(datum)
-        self._rho_doubled = np.array(r.doubled, dtype=np.int64)
-        lo = -max(r.doubled)
-        self._lo = lo
-        side = max(r.doubled) + 1
+        r = rho(datum).doubled
+        top = max(r)
+        self._rho_doubled = r
+        self._lo = -top
+        self._side = side = top + 1
         grid = np.zeros((side,) * n, dtype=np.int64)
-        grid[tuple((c - lo) // 2 for c in r.doubled)] = 1
+        lo = [(c + top) // 2 for c in r]
+        hi = [c + 1 for c in lo]
+        grid[tuple(lo)] = 1
         for alpha in datum.positive_roots():
-            shifted = np.zeros_like(grid)
-            src = [slice(None)] * n
-            dst = [slice(None)] * n
-            for axis, step in enumerate(alpha):
-                if step > 0:
-                    src[axis] = slice(step, None)
-                    dst[axis] = slice(None, -step)
-                elif step < 0:
-                    src[axis] = slice(None, step)
-                    dst[axis] = slice(-step, None)
-            shifted[tuple(dst)] = grid[tuple(src)]
-            grid += shifted
+            src = tuple(map(slice, lo, hi))
+            dst = []
+            for i, s in enumerate(alpha):
+                dst.append(slice(lo[i] - s, hi[i] - s))
+                if s > 0:
+                    lo[i] -= s
+                elif s < 0:
+                    hi[i] -= s
+            grid[tuple(dst)] += grid[src]
+        assert grid.sum() == 2 ** len(datum.positive_roots())
         self._grid = grid
-        self._side = side
-
-        perms, signs, dets = [], [], []
-        sign_choices = [
-            s
-            for s in itertools.product((1, -1), repeat=n)
-            if datum.family in ("B", "C") or s.count(-1) % 2 == 0
-        ]
-        for perm in itertools.permutations(range(n)):
-            inv = sum(
-                1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-            )
-            psign = (-1) ** inv
-            for s in sign_choices:
-                perms.append(perm)
-                signs.append(s)
-                if datum.family == "D":
-                    dets.append(psign)
-                else:
-                    dets.append(psign * (1 if s.count(-1) % 2 == 0 else -1))
-        self._perms = np.array(perms, dtype=np.int64)
+        psign = [1]
+        for k in range(2, n + 1):
+            psign = [-s if f & 1 else s for f in range(k) for s in psign]
+        signs = [s for s in itertools.product((1, -1), repeat=n)
+                 if datum.family != "D" or s.count(-1) % 2 == 0]
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+        self._perms = perms[:, None, :]
         self._signs = np.array(signs, dtype=np.int64)
-        self._dets = np.array(dets, dtype=np.int64)
+        self._dets = np.multiply.outer(psign, [math.prod(s) for s in signs])
 
     def multiplicity(self, eta, tau):
-        t = np.array((tau + rho(self.datum)).doubled, dtype=np.int64)
-        base = np.array(eta.doubled, dtype=np.int64) + self._rho_doubled
-        rel = self._signs * t[self._perms] - base - self._lo
-        ok = (
-            ((rel & 1) == 0).all(axis=1)
-            & (rel >= 0).all(axis=1)
-            & (rel < 2 * self._side).all(axis=1)
-        )
-        good = np.nonzero(ok)[0]
-        if len(good) == 0:
+        pe, pt = {c & 1 for c in eta.doubled}, {c & 1 for c in tau.doubled}
+        if (pe.pop() + pt.pop() + self._lo) & 1:
             return 0
-        vals = self._grid[tuple((rel[good] >> 1).T)]
-        return int((vals * self._dets[good]).sum())
+        r, lo = self._rho_doubled, self._lo
+        t = np.array([c + d for c, d in zip(tau.doubled, r)], dtype=np.int64)
+        base = np.array([c + d + lo for c, d in zip(eta.doubled, r)], dtype=np.int64)
+        idx = (t[self._perms] * self._signs - base) >> 1
+        ok = (idx.view(np.uint64) < self._side).all(axis=2)
+        vals = self._grid[tuple(idx[ok].T)]
+        return int((vals * self._dets[ok]).sum())
 
 
 DATA = [RootDatum(f, n) for f in "BCD" for n in (2, 3, 4, 5)]
 
 
+def _orbit_size(key):
+    """How many vectors have the magnitudes in key."""
+    size = math.factorial(len(key)) * 2 ** sum(1 for c in key if c)
+    for c in set(key):
+        size //= math.factorial(key.count(c))
+    return size
+
+
 @pytest.mark.parametrize("datum", DATA, ids=str)
 def test_grid_matches_reference(datum):
-    got = RhoTensorEngine(datum)._grid
-    want = _ReferenceEngine(datum)._grid
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
+    # m_rho from the weight table against the dense grid at every dominant
+    # cell, in type D with either sign last
+    dense = _DenseEngine(datum)
+    table = characters._rho_weight_table(datum.family, datum.rank)
+    top = max(rho(datum).doubled)
+    cells = 0
+    for key in itertools.combinations_with_replacement(range(top, -1, -2), datum.rank):
+        for last in {key[-1], -key[-1]} if datum.family == "D" else {key[-1]}:
+            cell = key[:-1] + (last,)
+            want = int(dense._grid[tuple((c + top) // 2 for c in cell)])
+            assert table.get(key, 0) == want, cell
+            cells += 1
+    assert cells and len(table) == sum(
+        1 for key in itertools.combinations_with_replacement(range(top, -1, -2), datum.rank)
+        if dense._grid[tuple((c + top) // 2 for c in key)]
+    )
+
+
+@pytest.mark.parametrize(
+    "datum", [RootDatum(f, n) for f in "BCD" for n in range(1, 7)], ids=str
+)
+def test_grid_holds_every_weight(datum):
+    # dim V(rho) = 2^|positive roots|: the weight table, summed over every
+    # vector of every key, holds all of them
+    table = RhoTensorEngine(datum)._table
+    total = sum(m * _orbit_size(key) for key, m in table.items())
+    assert total == 2 ** len(datum.positive_roots())
+    assert KType(rho(datum), datum).dim == 2 ** len(datum.positive_roots())
 
 
 def _dominant(rng, datum, parity):
@@ -130,10 +153,10 @@ def _pairs(datum, count, rng):
 @pytest.mark.parametrize("datum", DATA, ids=str)
 def test_multiplicity_matches_reference(datum):
     rng = random.Random("engine-reference-%s" % datum)
-    engine, reference = RhoTensorEngine(datum), _ReferenceEngine(datum)
-    pairs = _pairs(datum, 40, rng)
+    engine, dense = RhoTensorEngine(datum), _DenseEngine(datum)
+    pairs = _pairs(datum, 60, rng)
     answers = [engine.multiplicity(eta, tau) for eta, tau in pairs]
-    assert answers == [reference.multiplicity(eta, tau) for eta, tau in pairs]
+    assert answers == [dense.multiplicity(eta, tau) for eta, tau in pairs]
     assert any(answers), "no nonzero answer among the pairs"
     if datum.family in "BD":
         # genuine (half-integral) K-types as eta and as tau, with an answer
@@ -145,34 +168,27 @@ def test_multiplicity_matches_reference(datum):
             m and (eta.doubled[-1] < 0 or tau.doubled[-1] < 0)
             for (eta, tau), m in zip(pairs, answers)
         )
-
-
-@pytest.mark.parametrize(
-    "datum", [RootDatum(f, n) for f in "BCD" for n in range(1, 7)], ids=str
-)
-def test_grid_holds_every_weight(datum):
-    # dim V(rho) = 2^|positive roots|, and every weight lies in the grid
-    engine = RhoTensorEngine(datum)
-    assert int(engine._grid.sum()) == 2 ** len(datum.positive_roots())
-    assert KType(rho(datum), datum).dim == 2 ** len(datum.positive_roots())
-
-
-class _NarrowNumpy:
-    """numpy, except that new arrays get 8-bit cells."""
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    @staticmethod
-    def zeros(shape, dtype=None):
-        return np.zeros(shape, dtype=np.int8)
+        # tau_n = 0 puts a zero in tau + rho, which absorbs an odd sign count
+        assert any(m and tau.doubled[-1] == 0 for (eta, tau), m in zip(pairs, answers))
 
 
 def test_lost_weights_fail_the_build(monkeypatch):
-    # C4 has weights of multiplicity 384, which wrap around in 8 bits
-    monkeypatch.setattr(characters, "np", _NarrowNumpy())
-    with pytest.raises(RuntimeError, match="lost weights"):
-        RhoTensorEngine(RootDatum("C", 4))
+    # one m_rho value off by one breaks dim V(rho) = 2^|positive roots|
+    build = characters._rho_weight_table
+
+    def corrupted(fam, rank):
+        table = build(fam, rank)
+        if rank < 4:
+            return table
+        table = dict(table)
+        key = min(table)
+        table[key] += 1
+        return table
+
+    monkeypatch.setattr(characters, "_rho_weight_table", corrupted)
+    for family in "BCD":
+        with pytest.raises(RuntimeError, match="lost weights"):
+            RhoTensorEngine(RootDatum(family, 4))
 
 
 @pytest.mark.parametrize("family", "BD")
@@ -181,10 +197,63 @@ def test_query_rejects_mixed_parity(family):
     engine = RhoTensorEngine(datum)
     whole, half = HalfIntVec((4, 2, 0)), HalfIntVec((3, 1, 1))
     mixed = HalfIntVec((3, 2, 0))
-    assert engine.multiplicity(whole, half) == _ReferenceEngine(datum).multiplicity(
+    assert engine.multiplicity(whole, half) == _DenseEngine(datum).multiplicity(
         whole, half
     )
     with pytest.raises(ValueError, match="mixed"):
         engine.multiplicity(mixed, half)
     with pytest.raises(ValueError, match="mixed"):
         engine.multiplicity(whole, mixed)
+
+
+def test_query_rejects_wrong_rank():
+    engine = RhoTensorEngine(RootDatum("C", 3))
+    with pytest.raises(ValueError):
+        engine.multiplicity(HalfIntVec((4, 2)), HalfIntVec((4, 2, 0)))
+    with pytest.raises(ValueError):
+        engine.multiplicity(HalfIntVec((4, 2, 0)), HalfIntVec((4, 2, 0, 0)))
+
+
+# -- ranks 7 and 8, out of the dense grid's reach ------------------------------
+
+
+@pytest.mark.parametrize(
+    "kind,a,b",
+    [("D_odd", 3, 4), ("D_even", 2, 5), ("B", 3, 4),
+     ("B", 4, 4), ("D_even", 4, 4), ("D_odd", 4, 4)],
+)
+def test_tensor_path_agrees_at_ranks_7_and_8(kind, a, b):
+    fam = UnipotentFamily(kind, a=a, b=b)
+    assert fam.datum.rank in (7, 8)
+    # hd_multiplicity raises RuntimeError when the two paths disagree
+    assert hd_multiplicity(fam, via_tensor=True) == hd_multiplicity(fam)
+
+
+def _child(code):
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_rank_7_tensor_path_stays_small():
+    # the dense B7 grid alone peaked near 1.6 GB
+    code = (
+        "import resource\n"
+        "from diracdual.dirac import hd_multiplicity\n"
+        "from diracdual.spectrum import UnipotentFamily\n"
+        "hd_multiplicity(UnipotentFamily('B', a=3, b=4), via_tensor=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    assert int(_child(code)) < 150 * 1024  # ru_maxrss is in KB on Linux
+
+
+def test_package_imports_no_numpy():
+    names = sorted(
+        "diracdual." + m.name for m in pkgutil.iter_modules(diracdual.__path__)
+    )
+    assert "diracdual.cli" in names and "diracdual.characters" in names
+    code = "import sys\n%s\nprint('numpy' in sys.modules)\n" % "\n".join(
+        "import " + name for name in names
+    )
+    assert _child(code) == "False"
