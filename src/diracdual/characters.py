@@ -1,11 +1,14 @@
 """Finite-dimensional module arithmetic for the compact form.
 
-Dimensions come from the Weyl dimension formula, weight multiplicities
-from Freudenthal's recursion, tensor products from the alternating-sum
-rule (sum over the weight multiset of one factor, reflecting singular
-shifted weights away), and the lowest constituent of a tensor product
-from the longest-element formula.  Everything is exact integer
-arithmetic on doubled coordinates.
+Dimensions come from the Weyl dimension formula, dominant weight
+multiplicities from Freudenthal's recursion (taken over the dominant
+weights in order of their distance from the highest weight, no search),
+tensor products from the alternating-sum rule (Klimyk: a pruned walk
+over the Weyl orbit of each dominant weight of the smaller factor, which
+drops a branch as soon as its shifted weight is singular and carries the
+sign and the dominant key of each term), and the lowest constituent of a
+tensor product from the longest-element formula.  Everything is exact
+integer arithmetic on doubled coordinates.
 
 For repeated tensor-with-spin-module queries the generic path is too
 slow, so ``RhoTensorEngine`` keeps the dominant weight multiplicities of
@@ -13,6 +16,7 @@ V(rho), built one rank at a time from a product formula for its
 character, and answers a query by a pruned walk over the Weyl group.
 """
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,10 +31,7 @@ from .weights import (
     dominant_doubled,
     dominant_rep,
     is_dominant,
-    is_regular_doubled,
-    nspan_coefficients,
-    pairing_x2,
-    rho,
+    nspan_doubled,
     w0_action,
 )
 
@@ -96,14 +97,15 @@ class Decomposition:
 def dim(kt):
     """Weyl dimension formula, exact."""
     datum = kt.datum
-    shifted = kt.hw + rho(datum)
-    num = 1
-    den = 1
+    r = _rho_doubled(datum.family, datum.rank)
+    shifted = [h + c for h, c in zip(kt.hw.doubled, r)]
+    num = den = 1
     for alpha in datum.positive_roots():
-        num *= pairing_x2(shifted, alpha)
-        den *= pairing_x2(rho(datum), alpha)
-    q, r = divmod(num, den)
-    assert r == 0 and q > 0, "dimension formula must divide exactly"
+        num *= sum(map(operator.mul, shifted, alpha))
+        den *= sum(map(operator.mul, r, alpha))
+    q, rem = divmod(num, den)
+    if rem or q <= 0:
+        raise RuntimeError("dimension formula must divide exactly")
     return q
 
 
@@ -112,73 +114,55 @@ def dim(kt):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=200000)
-def _freudenthal(datum, hw_doubled, wt_doubled):
-    """Multiplicity of the *dominant* weight wt in V(hw)."""
-    if wt_doubled == hw_doubled:
-        return 1
-    # a dominant weight occurs iff hw - wt is an N-combination of
-    # simple roots; this also guards the division below
-    if nspan_coefficients(HalfIntVec(hw_doubled) - HalfIntVec(wt_doubled), datum) is None:
-        return 0
-    r = rho(datum).doubled
-    gap = sum((h + c) ** 2 - (w + c) ** 2 for h, w, c in zip(hw_doubled, wt_doubled, r))
-    assert gap > 0, "dominant weight below the highest weight has a gap"
-    total = 0
-    for alpha in datum.positive_roots():
-        nu = wt_doubled
-        while True:
-            nu = [c + 2 * a for c, a in zip(nu, alpha)]
-            m = _freudenthal(datum, hw_doubled, tuple(dominant_doubled(nu, datum.family)))
-            if m == 0:
-                # once outside the hull, walking further along alpha
-                # stays outside
-                break
-            total += m * sum(map(operator.mul, nu, alpha))
-    q, rem = divmod(4 * total, gap)
-    assert rem == 0, "Freudenthal recursion must divide exactly"
-    return q
-
-
 def dominant_weights(hw, datum):
-    """All dominant weights of the module with highest weight hw, with
-    multiplicities, as {doubled tuple: mult}."""
-    queue = [dominant_rep(hw, datum).doubled]
-    out, seen = {}, {queue[0]}
-    while queue:
-        cur = queue.pop()
-        m = _freudenthal(datum, hw.doubled, cur)
-        if m == 0:
+    """All dominant weights of the module with dominant highest weight hw,
+    with multiplicities, as {doubled tuple: mult}."""
+    return dict(_dominant_weight_table(datum, hw.doubled))
+
+
+@lru_cache(maxsize=4096)
+def _dominant_weight_table(datum, lam):
+    """Freudenthal's recursion for V(lam), as ((doubled weight, mult), ...).
+
+    The dominant weights of V(lam) are the dominant mu with lam - mu an
+    N-combination of simple roots, each coordinate between lam_n and lam_1
+    (A) or at most lam_1 in magnitude.  Of two such weights nu > mu,
+    |nu + rho| > |mu + rho|, so by increasing gap |lam + rho|^2 -
+    |mu + rho|^2 every multiplicity the recursion needs is already known.
+    """
+    family, n = datum.family, datum.rank
+    r = _rho_doubled(family, n)
+    values = range(lam[0], lam[-1] - 1, -2) if family == "A" else range(abs(lam[0]), -1, -2)
+    hull = []
+    for mu in itertools.combinations_with_replacement(values, n):
+        for mu in (mu, mu[:-1] + (-mu[-1],)) if family == "D" and mu[-1] else (mu,):
+            # D1 has no simple roots, so only lam - lam passes by equality
+            if mu == lam or nspan_doubled([x - y for x, y in zip(lam, mu)], family) is not None:
+                hull.append((sum((x + c) ** 2 - (y + c) ** 2 for x, y, c in zip(lam, mu, r)), mu))
+    hull.sort()
+    mult = {}
+    for gap, mu in hull:
+        if mu == lam:
+            mult[mu] = 1
             continue
-        out[cur] = m
+        if gap <= 0:
+            raise RuntimeError("dominant weight below the highest weight has a gap")
+        total = 0
         for alpha in datum.positive_roots():
-            nxt = tuple(dominant_doubled([c - 2 * a for c, a in zip(cur, alpha)], datum.family))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return out
-
-
-def _orbit(doubled, family):
-    """The full Weyl orbit of a doubled coordinate vector, as a set."""
-    if family == "A":
-        return set(itertools.permutations(doubled))
-    # type D changes evenly many signs, so without a zero coordinate the
-    # parity of the negative count is an orbit invariant
-    parity = sum(c < 0 for c in doubled) % 2 if family == "D" and 0 not in doubled else None
-    out = set()
-    for perm in set(itertools.permutations(map(abs, doubled))):
-        for signs in itertools.product((1, -1), repeat=len(perm)):
-            v = tuple(map(operator.mul, signs, perm))
-            if parity is None or sum(c < 0 for c in v) % 2 == parity:
-                out.add(v)
-    return out
-
-
-def weight_multiset(hw, datum):
-    """Every weight of V(hw) with its multiplicity, as {doubled: mult}."""
-    return {w: m for dom, m in dominant_weights(hw, datum).items()
-            for w in _orbit(dom, datum.family)}
+            nu = mu
+            while True:
+                nu = [c + 2 * a for c, a in zip(nu, alpha)]
+                m = mult.get(tuple(dominant_doubled(nu, family)))
+                if not m:
+                    # once outside the hull, walking further along alpha
+                    # stays outside
+                    break
+                total += m * sum(map(operator.mul, nu, alpha))
+        q, rem = divmod(4 * total, gap)
+        if rem:
+            raise RuntimeError("Freudenthal recursion must divide exactly")
+        mult[mu] = q
+    return tuple(mult.items())
 
 
 # ---------------------------------------------------------------------------
@@ -186,35 +170,70 @@ def weight_multiset(hw, datum):
 # ---------------------------------------------------------------------------
 
 
-def _to_dominant_with_det(doubled, family):
-    """Map a regular vector to its dominant representative, returning
-    (dominant doubled tuple, det of the Weyl element used): the sign of
-    the sorting permutation, times (-1)^(sign flips) in types B and C (in
-    type D the flips come in pairs, or move onto a zero)."""
-    mags = doubled if family == "A" else [abs(c) for c in doubled]
-    inversions = sum(a < b for i, a in enumerate(mags) for b in mags[i + 1:])
-    flips = sum(c < 0 for c in doubled) if family in "BC" else 0
-    return tuple(dominant_doubled(doubled, family)), (-1) ** (inversions + flips)
-
-
 def tensor_decompose(a, b):
-    """Decompose V(a) (x) V(b) into K-types with multiplicities."""
+    """Decompose V(a) (x) V(b) into K-types with multiplicities.
+
+    Klimyk's rule: each weight nu of the smaller factor V(b) adds
+    det(w) mult(nu) at w(a + rho + nu) - rho, w sorting t = a + rho + nu
+    into the dominant chamber; a singular t adds nothing.  The nu are
+    walked as each dominant weight's distinct (signed) permutations, one
+    coordinate at a time, and a t_i whose magnitude repeats an earlier one
+    (or is 0, in B and C) cuts the branch: every completion is singular.
+    The magnitudes so far are kept sorted, so one insertion gives both the
+    inversions of the sort and the dominant key; det(w) also counts t's
+    negative entries in B and C, not in D, where signs change in pairs.
+    """
     if a.datum != b.datum:
         raise ValueError("cannot tensor modules of different data")
     datum = a.datum
     if dim(b) > dim(a):
         a, b = b, a
-    r = rho(datum)
-    shift = (a.hw + r).doubled
+    family, signed = datum.family, datum.family != "A"
+    r = _rho_doubled(family, datum.rank)
+    shift = [x + y for x, y in zip(a.hw.doubled, r)]
+    last = len(shift) - 1
+    bc = family in "BC"  # there a zero t_i is singular and t_i < 0 flips det
     acc = Counter()
-    for wt, mult in weight_multiset(b.hw, datum).items():
-        t = tuple(s + w for s, w in zip(shift, wt))
-        if is_regular_doubled(t, datum.family):
-            dom, det = _to_dominant_with_det(t, datum.family)
-            acc[tuple(d - rr for d, rr in zip(dom, r.doubled))] += det * mult
-    assert min(acc.values(), default=0) >= 0, "negative net multiplicity"
-    out = {KType(HalfIntVec(tau), datum): m for tau, m in acc.items() if m}
-    return Decomposition.from_dict(out)
+    seen = []  # |t_j| for j < i in types B/C/D, t_j in type A; ascending
+
+    def walk(i, det, neg, flips):
+        # left: the magnitudes (values, in type A) of nu still to place;
+        # det carries mult; neg counts t's negative entries, flips nu's
+        s = shift[i]
+        for v in left:
+            if not left[v]:
+                continue
+            left[v] -= 1
+            for x in (v, -v) if signed and v else (v,):
+                t = s + x
+                m = abs(t) if signed else t
+                p = bisect_left(seen, m)
+                if p < i and seen[p] == m or bc and not m:
+                    continue
+                d = -det if (p + (bc and t < 0)) & 1 else det
+                seen.insert(p, m)
+                if i < last:
+                    walk(i + 1, d, neg + (t < 0), flips + (x < 0))
+                elif parity is None or (flips + (x < 0)) & 1 == parity:
+                    key = seen[::-1]
+                    if (neg + (t < 0)) & 1 and family == "D" and key[-1]:
+                        key[-1] = -key[-1]
+                    acc[tuple(key)] += d
+                del seen[p]
+            left[v] += 1
+
+    for mu, mult in dominant_weights(b.hw, datum).items():
+        # type D changes evenly many signs, so without a zero coordinate
+        # the parity of the negative count is an orbit invariant
+        parity = mu[-1] < 0 if family == "D" and 0 not in mu else None
+        left = Counter(map(abs, mu) if signed else mu)
+        walk(0, mult, 0, 0)
+    del walk  # it refers to itself: free it now, not at the next gc
+    if min(acc.values(), default=0) < 0:
+        raise RuntimeError("negative net multiplicity")
+    # subtracting rho keeps the keys' order, which is Decomposition's
+    return Decomposition(tuple((KType(HalfIntVec(tuple(map(operator.sub, key, r))), datum), m)
+                               for key, m in sorted(acc.items(), reverse=True) if m))
 
 
 def prv_component(a, b):

@@ -163,6 +163,9 @@ def cmd_tensor(args):
     a = KType(a_hw, datum)
     b = KType(b_hw, datum)
     dec = tensor_decompose(a, b)
+    if dec.total_dim() != a.dim * b.dim:
+        raise RuntimeError("dim check failed: %d * %d != %d"
+                           % (a.dim, b.dim, dec.total_dim()))
     record = [
         {"hw": str(kt.hw), "mult": m, "dim": kt.dim} for kt, m in dec
     ]

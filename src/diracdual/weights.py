@@ -178,11 +178,6 @@ def norm_sq_x4(v):
     return sum(c * c for c in v.doubled)
 
 
-def pairing_x2(v, root):
-    """2 * <v, alpha> for a root alpha in ordinary coordinates."""
-    return sum(c * r for c, r in zip(v.doubled, root))
-
-
 def dominant_rep(v, datum):
     """The dominant representative {v} of the Weyl orbit of v.
 
@@ -254,16 +249,21 @@ def nspan_coefficients(v, datum):
     """
     if len(v) != datum.rank:
         raise ValueError("rank mismatch")
-    if not v.is_integral:
+    return nspan_doubled(v.doubled, datum.family)
+
+
+def nspan_doubled(d, fam):
+    """:func:`nspan_coefficients` on a nonempty sequence of doubled
+    coordinates."""
+    if any(x & 1 for x in d):
         return None
-    c = [x // 2 for x in v.doubled]
-    n = datum.rank
+    c = [x // 2 for x in d]
+    n = len(c)
     prefix = []
     acc = 0
     for x in c:
         acc += x
         prefix.append(acc)
-    fam = datum.family
     if fam == "A":
         if prefix[-1] != 0 or any(p < 0 for p in prefix[:-1]):
             return None

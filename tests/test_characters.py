@@ -1,8 +1,13 @@
 """Dimensions, tensor decompositions and the minimal-norm component,
 checked against the frozen brute-force oracle at small rank."""
 
+from collections import Counter
+from functools import lru_cache
 import itertools
+import operator
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +16,8 @@ import oracle
 from diracdual.weights import (
     HalfIntVec,
     RootDatum,
+    dominant_doubled,
+    is_regular_doubled,
     norm_sq_x4,
     nspan_coefficients,
     rho,
@@ -135,6 +142,166 @@ def test_tensor_with_genuine_factor():
     assert {kt.hw.doubled: m for kt, m in got} == oracle.tensor_decompose(
         "B", 2, a, b
     )
+
+
+# -- the orbit walk against the full-orbit reference -------------------------
+
+
+@lru_cache(maxsize=None)
+def _freudenthal_reference(datum, hw, wt):
+    """Multiplicity of the dominant weight wt in V(hw), by recursion."""
+    if wt == hw:
+        return 1
+    if nspan_coefficients(HalfIntVec(hw) - HalfIntVec(wt), datum) is None:
+        return 0
+    r = rho(datum).doubled
+    gap = sum((h + c) ** 2 - (w + c) ** 2 for h, w, c in zip(hw, wt, r))
+    total = 0
+    for alpha in datum.positive_roots():
+        nu = wt
+        while True:
+            nu = [c + 2 * a for c, a in zip(nu, alpha)]
+            m = _freudenthal_reference(datum, hw, tuple(dominant_doubled(nu, datum.family)))
+            if m == 0:
+                break
+            total += m * sum(map(operator.mul, nu, alpha))
+    q, rem = divmod(4 * total, gap)
+    assert rem == 0 and gap > 0
+    return q
+
+
+def _orbit(doubled, family):
+    """The full Weyl orbit of a doubled coordinate vector, as a set."""
+    if family == "A":
+        return set(itertools.permutations(doubled))
+    parity = sum(c < 0 for c in doubled) % 2 if family == "D" and 0 not in doubled else None
+    out = set()
+    for perm in set(itertools.permutations(map(abs, doubled))):
+        for signs in itertools.product((1, -1), repeat=len(perm)):
+            v = tuple(map(operator.mul, signs, perm))
+            if parity is None or sum(c < 0 for c in v) % 2 == parity:
+                out.add(v)
+    return out
+
+
+def _weight_multiset(hw, datum):
+    """Every weight of V(hw) with its multiplicity: a search down from hw
+    over the dominant weights, then their full orbits."""
+    queue, dom, seen = [hw], {}, {hw}
+    while queue:
+        cur = queue.pop()
+        m = _freudenthal_reference(datum, hw, cur)
+        if m == 0:
+            continue
+        dom[cur] = m
+        for alpha in datum.positive_roots():
+            nxt = tuple(dominant_doubled([c - 2 * a for c, a in zip(cur, alpha)], datum.family))
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return {w: m for d, m in dom.items() for w in _orbit(d, datum.family)}
+
+
+def _to_dominant_with_det(doubled, family):
+    """(dominant representative, det of the sorting Weyl element)."""
+    mags = doubled if family == "A" else [abs(c) for c in doubled]
+    inversions = sum(a < b for i, a in enumerate(mags) for b in mags[i + 1:])
+    flips = sum(c < 0 for c in doubled) if family in "BC" else 0
+    return tuple(dominant_doubled(doubled, family)), (-1) ** (inversions + flips)
+
+
+def _klimyk_reference(a, b):
+    """Klimyk's sum over every weight of the smaller factor, one weight at a
+    time, as the library computed it before the orbit walk."""
+    datum = a.datum
+    if dim(b) > dim(a):
+        a, b = b, a
+    r = rho(datum)
+    shift = (a.hw + r).doubled
+    acc = Counter()
+    for wt, mult in _weight_multiset(b.hw.doubled, datum).items():
+        t = tuple(s + w for s, w in zip(shift, wt))
+        if is_regular_doubled(t, datum.family):
+            dom, det = _to_dominant_with_det(t, datum.family)
+            acc[tuple(d - rr for d, rr in zip(dom, r.doubled))] += det * mult
+    assert min(acc.values(), default=0) >= 0
+    return Decomposition.from_dict(
+        {KType(HalfIntVec(tau), datum): m for tau, m in acc.items() if m})
+
+
+def _rank4_weights(family):
+    """Every dominant weight with entries <= 3 (in type D also with the
+    last entry negated), doubled."""
+    out = []
+    for xs in itertools.combinations_with_replacement((6, 4, 2, 0), 4):
+        out.append(xs)
+        if family == "D" and xs[-1]:
+            out.append(xs[:-1] + (-xs[-1],))
+    return out
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_tensor_matches_reference_at_ranks_1_and_2(family):
+    # rank 1 has no roots in types A and D: a lone weight, no cancellation
+    for rank in (1, 2):
+        datum = RootDatum(family, rank)
+        kts = [KType(HalfIntVec(xs), datum)
+               for xs in itertools.product(range(-4, 5), repeat=rank)
+               if tuple(dominant_doubled(xs, family)) == xs
+               and len({x & 1 for x in xs}) == 1 and (family in "BD" or xs[0] % 2 == 0)]
+        for a, b in itertools.product(kts, kts[::3]):
+            got = tensor_decompose(a, b).as_dict()
+            assert got == _klimyk_reference(a, b).as_dict(), (family, a.hw, b.hw)
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_tensor_matches_reference_at_rank_4(family):
+    rng = random.Random("walk-rank4-" + family)
+    datum = RootDatum(family, 4)
+    hws = _rank4_weights(family)
+    for hw in hws:
+        for other in rng.sample(hws, 2):
+            a, b = KType(HalfIntVec(hw), datum), KType(HalfIntVec(other), datum)
+            got = tensor_decompose(a, b).as_dict()
+            assert got == _klimyk_reference(a, b).as_dict(), (family, hw, other)
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_tensor_matches_reference_at_rank_5(family):
+    rng = random.Random("walk-rank5-" + family)
+    datum = RootDatum(family, 5)
+    # genuine factors (odd doubled coordinates) only exist in B and D
+    parities = (0, 1) if family in "BD" else (0,)
+    for k in range(12):
+        a = KType(HalfIntVec(_dominant_doubled(family, 5, 5, rng.choice(parities), rng)), datum)
+        b = _dominant_doubled(family, 5, 4, rng.choice(parities), rng)
+        if family == "D" and b[-1] and k % 2:
+            b = b[:-1] + (-abs(b[-1]),)
+        b = KType(HalfIntVec(b), datum)
+        got = tensor_decompose(a, b).as_dict()
+        assert got == _klimyk_reference(a, b).as_dict(), (family, a.hw, b.hw)
+
+
+def test_corrupted_weight_table_raises_under_optimize():
+    # without the (0, 0) weight of V(1, 0) the alternating sum of
+    # V(1, 0) (x) V(1, 0) in B2 leaves -V(1, 0); the check must survive -O
+    code = (
+        "import sys\n"
+        "from diracdual import characters\n"
+        "from diracdual.weights import RootDatum, vec\n"
+        "real = characters.dominant_weights\n"
+        "characters.dominant_weights = lambda hw, datum: {\n"
+        "    w: m for w, m in real(hw, datum).items() if any(w)}\n"
+        "d = RootDatum('B', 2)\n"
+        "a = characters.KType(vec(1, 0), d)\n"
+        "try:\n"
+        "    characters.tensor_decompose(a, a)\n"
+        "except RuntimeError as e:\n"
+        "    print(sys.flags.optimize, e)\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "1 negative net multiplicity"
 
 
 # -- minimal-norm component ---------------------------------------------------

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from diracdual import cli
+from diracdual.characters import Decomposition
 from diracdual.cli import main
 from diracdual.weights import HalfIntVec
 
@@ -87,6 +89,21 @@ def test_tensor_json_round_trips(capsys):
     for r in rec:
         hw = HalfIntVec.parse(r["hw"])
         assert str(hw) == r["hw"]
+
+
+def test_tensor_dim_check_fails_loudly(capsys, monkeypatch):
+    real = cli.tensor_decompose
+
+    def lossy(a, b):
+        dec = real(a, b)
+        return Decomposition(dec.terms[1:])
+
+    monkeypatch.setattr(cli, "tensor_decompose", lossy)
+    code, out, err = run(
+        capsys, "tensor", "--type", "C", "--rank", "2", "--a", "1,0", "--b", "1,0"
+    )
+    assert code == 1 and out == ""
+    assert "internal error" in err and "dim check" in err
 
 
 def test_dirac_json_contract(capsys):
