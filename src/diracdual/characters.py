@@ -351,10 +351,6 @@ class RhoTensorEngine:
         rows = [[[(abs(x), x * x, s, f) for x, s, f in ((c - b, 1, 0), (-c - b, flip, 1))
                   if abs(x) <= top and (flip < 0 or c or not f)] for c in t]
                 for b in (e + c_r for e, c_r in zip(eta.doubled, r, strict=True))]
-        # the most constrained coordinates first; det takes the reordering
-        order = sorted(range(n), key=lambda i: sum(map(len, rows[i])))
-        rows = [rows[i] for i in order]
-        det0 = (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
         mu, table = [0] * n, self._table
 
         def walk(i, det, sq, ab, rest, flips):
@@ -374,7 +370,7 @@ class RhoTensorEngine:
 
         total = walk(0, 1, 0, 0, tuple(range(n)), 0)
         del walk  # it refers to itself: free it now, not at the next gc
-        return det0 * total
+        return total
 
 
 @lru_cache(maxsize=8)

@@ -10,7 +10,6 @@ exits 0 only when every check passes.
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -60,22 +59,6 @@ def _family(args):
     return UnipotentFamily(
         kind, a=args.a or 0, b=args.b or 0, n=args.n or 0
     )
-
-
-def _bound(args):
-    """--bound, falling back to the DIRAC_SERIES_BOUND environment
-    variable, else None (the operation's own complete default)."""
-    if args.bound is not None:
-        return args.bound
-    env = os.environ.get("DIRAC_SERIES_BOUND")
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(
-            "DIRAC_SERIES_BOUND must be an integer, got %r" % (env,)
-        )
 
 
 def _parse_levi(text):
@@ -293,7 +276,7 @@ def cmd_spectrum(args):
 
 def cmd_spin_lkt(args):
     fam = _family(args)
-    res = spin_lkt_unipotent(fam, _bound(args))
+    res = spin_lkt_unipotent(fam, args.bound)
     record = {
         "family": str(fam),
         "floor_attained": res.nonzero,
@@ -321,7 +304,7 @@ def cmd_spin_lkt(args):
 
 def cmd_dirac(args):
     fam = _family(args)
-    res = spin_lkt_unipotent(fam, _bound(args))
+    res = spin_lkt_unipotent(fam, args.bound)
     record = res.as_dict()
     lines = ["%s: %s" % (fam, res)]
     for key in ("min_spin_norm_sq_x4", "two_lambda_norm_sq_x4", "candidates", "complete"):

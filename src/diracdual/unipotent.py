@@ -196,7 +196,6 @@ class UnipotentParam:
     eta: tuple  # one sign per free pair, +1/-1
     zh: ZhParam
     very_even_tag: str = ""
-    count_weight: int = 1  # 2 when counting for the disconnected form
 
     def __str__(self):
         tag = " [%s]" % self.very_even_tag if self.very_even_tag else ""
@@ -293,23 +292,16 @@ def canonical_param(lL, lR, datum):
     )
 
 
-def enumerate_parameters(orbit, so=True):
+def enumerate_parameters(orbit):
     """All distinguished parameters attached to the orbit.
 
     One parameter per sign vector on the free pairs; the count equals
-    component_group_order for the connected group.  With ``so=False``
-    each parameter carries count_weight 2 (the sign-character twists of
-    the disconnected orthogonal form are not stored separately).
+    component_group_order for the connected group.
     """
-    weight = 1 if so else 2
     datum = orbit.datum
     if orbit.family == "A":
         lam = infinitesimal_character(orbit)
-        return [
-            UnipotentParam(
-                orbit, (), ZhParam(lam, lam, datum), count_weight=weight
-            )
-        ]
+        return [UnipotentParam(orbit, (), ZhParam(lam, lam, datum))]
     pairing = column_pairing(orbit)
     spherical = []
     for s in _contributions(pairing):
@@ -336,11 +328,7 @@ def enumerate_parameters(orbit, so=True):
             HalfIntVec(tuple(left)), HalfIntVec(tuple(right)), datum
         )
         tag = "I/II" if pairing.very_even else ""
-        out.append(
-            UnipotentParam(
-                orbit, tuple(eta), zh, very_even_tag=tag, count_weight=weight
-            )
-        )
+        out.append(UnipotentParam(orbit, tuple(eta), zh, very_even_tag=tag))
     return out
 
 

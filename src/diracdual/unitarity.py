@@ -31,7 +31,7 @@ from .weights import (
     is_regular,
 )
 from .characters import KType
-from .unipotent import canonical_param
+from .unipotent import _canonical_pairs, canonical_param
 
 __all__ = [
     "StringDecomp",
@@ -565,36 +565,13 @@ def relevant_unitarity(param, datum=None):
 # full parameters
 # ---------------------------------------------------------------------------
 
-def _is_hermitian(pairs, fam):
+def _is_hermitian(lL, lR, fam):
     """Is some Weyl twist of (lambda_L, lambda_R) equal to
-    (-lambda_R, -lambda_L)?  ``pairs`` holds doubled coordinates.
-
-    Reduces to matching the pair multiset against its entrywise
-    (l, r) -> (-r, -l) image, allowing per-pair sign flips for B/C,
-    evenly many for D and none for A; for each +/- orbit the flip count
-    has a fixed parity, so only counts and one parity bit are needed.
-    """
-    P = Counter(pairs)
-    Q = Counter((-r, -l) for (l, r) in pairs)
-    if fam == "A":
-        return P == Q
-    parity = 0
-    seen = set()
-    for key in set(P) | set(Q):
-        neg = (-key[0], -key[1])
-        rep = max(key, neg)
-        if rep in seen:
-            continue
-        seen.add(rep)
-        nrep = (-rep[0], -rep[1])
-        if rep == nrep:      # the (0,0) pair absorbs any sign
-            continue
-        if P[rep] + P[nrep] != Q[rep] + Q[nrep]:
-            return False
-        parity ^= (P[rep] + Q[rep]) & 1
-    if fam == "C" or fam == "B":
-        return True
-    return parity == 0 or P[(0, 0)] > 0
+    (-lambda_R, -lambda_L)?  Both sides are in doubled coordinates; the
+    two pairs lie in one orbit exactly when their canonical
+    representatives agree."""
+    return _canonical_pairs(lL, lR, fam) == _canonical_pairs(
+        [-r for r in lR], [-l for l in lL], fam)
 
 
 def _parity_classes(values):
@@ -655,7 +632,7 @@ def full_unitarity(param):
             "lowest K-type is not integral; genuine double-cover "
             "parameters are not classified here")
     pairs = list(zip(param.lambda_L.doubled, param.lambda_R.doubled))
-    if not _is_hermitian(pairs, fam):
+    if not _is_hermitian(param.lambda_L.doubled, param.lambda_R.doubled, fam):
         raise ValueError("parameter is not Hermitian")
 
     if fam != "A":

@@ -206,19 +206,10 @@ def dominant_doubled(d, family):
 
 
 def is_dominant(v, datum):
+    """Is v its own dominant representative :func:`dominant_rep`?"""
     if len(v) != datum.rank:
         raise ValueError("rank mismatch")
-    d = v.doubled
-    if any(d[i] < d[i + 1] for i in range(len(d) - 1)):
-        if datum.family != "D":
-            return False
-        # D allows v_{n-1} >= |v_n| with v_n possibly negative
-        if any(d[i] < d[i + 1] for i in range(len(d) - 2)):
-            return False
-        return len(d) >= 2 and d[-2] >= abs(d[-1])
-    if datum.family in ("B", "C"):
-        return d[-1] >= 0
-    return True
+    return list(v.doubled) == dominant_doubled(v.doubled, datum.family)
 
 
 def is_regular(v, datum):
@@ -335,16 +326,6 @@ class ZhParam:
             raise ValueError(
                 "lambda_L - lambda_R = %s is not a module weight" % (diff,)
             )
-
-    @property
-    def mu(self):
-        """Lowest K-type extremal weight lambda_L - lambda_R."""
-        return self.lambda_L - self.lambda_R
-
-    @property
-    def nu(self):
-        """Continuous part lambda_L + lambda_R."""
-        return self.lambda_L + self.lambda_R
 
     def __str__(self):
         return "(%s ; %s)" % (self.lambda_L, self.lambda_R)

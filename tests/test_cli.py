@@ -121,9 +121,8 @@ def test_dirac_vanishing_json(capsys):
     assert rec["tau"] is None and rec["multiplicity"] is None
 
 
-def test_dirac_rank_eight_json(capsys, monkeypatch):
+def test_dirac_rank_eight_json(capsys):
     # the complete search at rank 8, through the CLI
-    monkeypatch.delenv("DIRAC_SERIES_BOUND", raising=False)
     rec = run_json(capsys, "dirac", "--family", "D_even", "--a", "4", "--b", "4")
     assert rec["checks"]["complete"] is True
     assert rec["nonzero"] is True
@@ -183,6 +182,10 @@ def test_precondition_violations_exit_2(capsys):
         ("catalog", "--type", "C", "--partition", "1,2"),
         ("catalog", "--type", "C", "--partition", "0"),
         ("spectrum", "--family", "SpinB", "--n", "2", "--bound", "3"),
+        # type D weights with a sign the Weyl group cannot absorb
+        ("spin-norm", "--type", "D", "--eta=-1,-2,-3"),
+        ("prv", "--type", "D", "--a=-1,-2,-3", "--b=1,0,0"),
+        ("dim", "--type", "D", "--rank", "2", "--hw=-1,-3"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
@@ -215,19 +218,13 @@ def test_missing_required_option_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_env_bound_override(capsys, monkeypatch):
-    monkeypatch.setenv("DIRAC_SERIES_BOUND", "3")
-    rec = run_json(capsys, "dirac", "--family", "C_even", "--n", "2")
-    assert rec["checks"]["coordinate_bound"] == 3
-    assert rec["checks"]["complete"] is False
-    monkeypatch.setenv("DIRAC_SERIES_BOUND", "oops")
-    code, _, err = run(capsys, "dirac", "--family", "C_even", "--n", "2")
-    assert code == 2
-    assert "DIRAC_SERIES_BOUND" in err
-
-
-def test_explicit_bound_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("DIRAC_SERIES_BOUND", "3")
+def test_bound_env_var_is_ignored(capsys, monkeypatch):
+    # --bound is the only bound; DIRAC_SERIES_BOUND no longer changes a record
+    monkeypatch.delenv("DIRAC_SERIES_BOUND", raising=False)
+    plain = run_json(capsys, "dirac", "--family", "C_even", "--n", "2")
+    for value in ("3", "oops"):
+        monkeypatch.setenv("DIRAC_SERIES_BOUND", value)
+        assert run_json(capsys, "dirac", "--family", "C_even", "--n", "2") == plain
     rec = run_json(
         capsys, "dirac", "--family", "C_even", "--n", "2", "--bound", "50"
     )

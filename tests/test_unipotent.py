@@ -119,10 +119,6 @@ def test_parameter_count_equals_component_group_order(fam, total_max):
                 continue
             params = enumerate_parameters(orbit)
             assert len(params) == component_group_order(orbit), (fam, rows)
-            # the disconnected-form count doubles via the weight, not the list
-            o_params = enumerate_parameters(orbit, so=False)
-            assert len(o_params) == len(params)
-            assert all(p.count_weight == 2 for p in o_params)
 
 
 def test_component_group_spot_values():

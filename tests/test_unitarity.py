@@ -1,10 +1,12 @@
 """Unitarity verdicts: the recorded signature tables, certificate and
 witness shape invariants, and random-parameter robustness."""
 
+import itertools
 import random
 
 import pytest
 
+import oracle
 from diracdual.weights import (
     HalfIntVec,
     RootDatum,
@@ -18,11 +20,12 @@ from diracdual.weights import (
 from diracdual.characters import KType
 from diracdual.dirac import spin_norm_sq_x4
 from diracdual.unitarity import (
+    _is_hermitian,
     decompose_strings,
     full_unitarity,
     spherical_unitarity,
 )
-from diracdual.unipotent import validate, infinitesimal_character
+from diracdual.unipotent import _canonical_pairs, validate, infinitesimal_character
 
 
 def v(s):
@@ -486,3 +489,57 @@ def test_malformed_block_names_its_coordinates():
         ValueError, match=r"^malformed non-spherical block \(1,1/2,0 \\ 0,-1/2,-1\)$"
     ):
         full_unitarity(param)
+
+
+# -- the Hermitian test against brute-force Weyl orbits -----------------------------
+
+
+def _check_orbit(family, lL, lR):
+    """(-lR, -lL) lies in the orbit of (lL, lR), listed by brute force,
+    exactly when _is_hermitian says so, and _canonical_pairs is constant
+    on the orbit.  Returns the orbit and the verdict."""
+    orbit = {
+        (oracle.act(p, s, lL), oracle.act(p, s, lR))
+        for p, s, _ in oracle.weyl_elements(family, len(lL))
+    }
+    canon = _canonical_pairs(lL, lR, family)
+    herm = (tuple(-r for r in lR), tuple(-l for l in lL)) in orbit
+    for wl, wr in orbit:
+        assert _canonical_pairs(wl, wr, family) == canon, (family, lL, lR, wl, wr)
+        assert _is_hermitian(wl, wr, family) == herm, (family, wl, wr)
+    return orbit, herm
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_hermitian_matches_weyl_orbits(family):
+    # every pair with doubled entries in [-3, 3] at ranks 1-2, [-2, 2] at rank 3
+    for rank, top in ((1, 3), (2, 3), (3, 2)):
+        seen, verdicts = set(), set()
+        for flat in itertools.product(range(-top, top + 1), repeat=2 * rank):
+            lL, lR = flat[:rank], flat[rank:]
+            if (lL, lR) in seen:
+                continue
+            orbit, herm = _check_orbit(family, lL, lR)
+            seen |= orbit
+            verdicts.add(herm)
+        assert verdicts == {True, False}, (family, rank)
+
+
+def test_hermitian_matches_weyl_orbits_rank4_D():
+    # seeded draws: half free, half built Hermitian as (x, -w x) for an
+    # involution w, so that w maps the pair to (-lR, -lL)
+    rng = random.Random(4)
+    involutions = [(p, s) for p, s, _ in oracle.weyl_elements("D", 4)
+                   if oracle.act(p, s, oracle.act(p, s, (1, 2, 3, 4))) == (1, 2, 3, 4)]
+    verdicts = []
+    for k in range(120):
+        lL = tuple(rng.randint(-3, 3) for _ in range(4))
+        if k % 2:
+            p, s = rng.choice(involutions)
+            lR = tuple(-c for c in oracle.act(p, s, lL))
+        else:
+            lR = tuple(rng.randint(-3, 3) for _ in range(4))
+        herm = _check_orbit("D", lL, lR)[1]
+        assert herm or k % 2 == 0, (lL, lR)  # the built pairs are Hermitian
+        verdicts.append(herm)
+    assert not all(verdicts)

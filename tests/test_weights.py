@@ -109,6 +109,26 @@ def test_rho_is_dominant_and_regular(family, rank):
 # -- dominance ---------------------------------------------------------------
 
 
+def _simple_root_dominant(d, family):
+    """<v, alpha_i> >= 0 for every simple root, written out per family:
+    e_i - e_{i+1}, then e_n (B), 2e_n (C) or e_{n-1} + e_n (D, rank >= 2)."""
+    ok = all(a >= b for a, b in zip(d, d[1:]))
+    if family in "BC":
+        return ok and d[-1] >= 0
+    if family == "D" and len(d) >= 2:
+        return ok and d[-2] + d[-1] >= 0
+    return ok
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_is_dominant_matches_simple_roots(family):
+    # every vector with doubled entries in [-4, 4] at ranks 1-4
+    for n in range(1, 5):
+        datum = RootDatum(family, n)
+        for d in itertools.product(range(-4, 5), repeat=n):
+            assert is_dominant(HalfIntVec(d), datum) == _simple_root_dominant(d, family), d
+
+
 @given(hv(), st.sampled_from("ABCD"))
 def test_dominant_rep_is_dominant(v, family):
     datum = RootDatum(family, len(v))
