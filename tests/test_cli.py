@@ -218,17 +218,27 @@ def test_missing_required_option_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_bound_env_var_is_ignored(capsys, monkeypatch):
+def test_env_bound_override(capsys, monkeypatch):
     # --bound is the only bound; DIRAC_SERIES_BOUND no longer changes a record
     monkeypatch.delenv("DIRAC_SERIES_BOUND", raising=False)
     plain = run_json(capsys, "dirac", "--family", "C_even", "--n", "2")
     for value in ("3", "oops"):
         monkeypatch.setenv("DIRAC_SERIES_BOUND", value)
         assert run_json(capsys, "dirac", "--family", "C_even", "--n", "2") == plain
+
+
+def test_explicit_bound_beats_env(capsys, monkeypatch):
+    monkeypatch.setenv("DIRAC_SERIES_BOUND", "3")
     rec = run_json(
         capsys, "dirac", "--family", "C_even", "--n", "2", "--bound", "50"
     )
     assert rec["checks"]["complete"] is True
+    monkeypatch.setenv("DIRAC_SERIES_BOUND", "50")
+    rec = run_json(
+        capsys, "dirac", "--family", "C_even", "--n", "2", "--bound", "3"
+    )
+    assert rec["checks"]["coordinate_bound"] == 3
+    assert rec["checks"]["complete"] is False
 
 
 # -- fixtures ---------------------------------------------------------------------
