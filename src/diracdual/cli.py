@@ -37,18 +37,19 @@ FIXTURE_DIR = Path(__file__).parent / "fixtures"
 # ---------------------------------------------------------------------------
 
 
-def _datum(args, coords=None):
-    """RootDatum from --type/--rank, with the rank inferred from a weight
-    when omitted and cross-checked when given."""
+def _datum(args, *weights):
+    """RootDatum from --type/--rank, with the rank inferred from the first
+    weight when omitted; every weight is cross-checked against it."""
     rank = getattr(args, "rank", None)
     if rank is None:
-        if coords is None:
+        if not weights:
             raise ValueError("--rank is required here")
-        rank = len(coords)
-    if coords is not None and len(coords) != rank:
-        raise ValueError(
-            "weight has %d coordinates but --rank is %d" % (len(coords), rank)
-        )
+        rank = len(weights[0])
+    for w in weights:
+        if len(w) != rank:
+            raise ValueError(
+                "weight has %d coordinates but --rank is %d" % (len(w), rank)
+            )
     return RootDatum(args.type, rank)
 
 
@@ -138,11 +139,7 @@ def cmd_dim(args):
 def cmd_tensor(args):
     a_hw = HalfIntVec.parse(args.a)
     b_hw = HalfIntVec.parse(args.b)
-    datum = _datum(args, a_hw)
-    if len(b_hw) != datum.rank:
-        raise ValueError(
-            "weight has %d coordinates but --rank is %d" % (len(b_hw), datum.rank)
-        )
+    datum = _datum(args, a_hw, b_hw)
     a = KType(a_hw, datum)
     b = KType(b_hw, datum)
     dec = tensor_decompose(a, b)
@@ -163,11 +160,7 @@ def cmd_tensor(args):
 def cmd_prv(args):
     a_hw = HalfIntVec.parse(args.a)
     b_hw = HalfIntVec.parse(args.b)
-    datum = _datum(args, a_hw)
-    if len(b_hw) != datum.rank:
-        raise ValueError(
-            "weight has %d coordinates but --rank is %d" % (len(b_hw), datum.rank)
-        )
+    datum = _datum(args, a_hw, b_hw)
     kt = prv_component(KType(a_hw, datum), KType(b_hw, datum))
     record = {
         "type": args.type,

@@ -131,26 +131,30 @@ def column_pairing(orbit):
             break
 
     if fam == "B":
-        singleton, rest = cols[0], cols[1:]
-        pairs = [(rest[i], rest[i + 1]) for i in range(0, len(rest), 2)]
-        assert singleton % 2 == 1, "leading column must be odd"
-        assert all(a % 2 == b % 2 for a, b in pairs)
-        return ColumnPairing(fam, tuple(removed), tuple(pairs), singleton=singleton)
+        singleton = cols[0]
+        if singleton % 2 != 1:
+            raise RuntimeError("leading column must be odd")
+        return ColumnPairing(fam, tuple(removed), _paired(cols[1:]), singleton=singleton)
     if fam == "C":
-        singleton, rest = cols[-1], cols[:-1]
-        pairs = [(rest[i], rest[i + 1]) for i in range(0, len(rest), 2)]
-        assert singleton % 2 == 0, "trailing column must be even"
-        assert all(a % 2 == b % 2 for a, b in pairs)
-        return ColumnPairing(fam, tuple(removed), tuple(pairs), singleton=singleton)
+        singleton = cols[-1]
+        if singleton % 2 != 0:
+            raise RuntimeError("trailing column must be even")
+        return ColumnPairing(fam, tuple(removed), _paired(cols[:-1]), singleton=singleton)
     # type D
     if not cols:
         return ColumnPairing(fam, tuple(removed), (), very_even=True)
     sph = (cols[0], cols[-1])
-    rest = cols[1:-1]
-    pairs = [(rest[i], rest[i + 1]) for i in range(0, len(rest), 2)]
-    assert sph[0] % 2 == 0 and sph[1] % 2 == 0, "anchor pair must be even"
-    assert all(a % 2 == b % 2 for a, b in pairs)
-    return ColumnPairing(fam, tuple(removed), tuple(pairs), spherical_pair=sph)
+    if sph[0] % 2 != 0 or sph[1] % 2 != 0:
+        raise RuntimeError("anchor pair must be even")
+    return ColumnPairing(fam, tuple(removed), _paired(cols[1:-1]), spherical_pair=sph)
+
+
+def _paired(cols):
+    """Consecutive columns as (big, small) pairs, which must share parity."""
+    pairs = tuple((cols[i], cols[i + 1]) for i in range(0, len(cols), 2))
+    if any(a % 2 != b % 2 for a, b in pairs):
+        raise RuntimeError("paired columns must have equal parity")
+    return pairs
 
 
 def _string(top_doubled, bottom_doubled):

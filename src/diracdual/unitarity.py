@@ -13,10 +13,10 @@ Entry points:
 
 * ``decompose_strings``  -- the decomposition itself;
 * ``spherical_unitarity`` -- parameters (lam, lam);
-* ``relevant_unitarity``  -- parameters whose non-spherical part is a
-  single small block (lowest K-type entries 0/1);
 * ``full_unitarity``      -- arbitrary Hermitian parameters; peels off
-  unitarily-induced character levels and delegates the rest.
+  unitarily-induced character levels and decides the level <= 1 part
+  from its split pairs: a spherical tail, possibly under one small
+  block (lowest K-type entries 0/1).
 """
 
 from collections import Counter
@@ -31,14 +31,13 @@ from .weights import (
     is_regular,
 )
 from .characters import KType
-from .unipotent import _canonical_pairs, canonical_param
+from .unipotent import _canonical_pairs
 
 __all__ = [
     "StringDecomp",
     "UnitarityVerdict",
     "decompose_strings",
     "spherical_unitarity",
-    "relevant_unitarity",
     "full_unitarity",
 ]
 
@@ -64,7 +63,6 @@ class StringDecomp:
     sigma0_len: int
     kappa: tuple = ()
     sigma: tuple = ()
-    nested: bool = True
 
     @property
     def has_extras(self):
@@ -93,13 +91,12 @@ def _run_len(cnt, start):
     return n
 
 
-def _extract(lam, datum):
-    """Core extraction; returns (K0, N0, kappa_runs, sigma_runs, nested)
-    with runs in extraction order (smallest bottom first)."""
-    fam = datum.family
-    cnt = Counter(abs(c) for c in lam.doubled)
+def _decompose(values, datum):
+    """The decomposition of the doubled coordinates ``values``; only the
+    magnitudes count, so neither order nor signs matter."""
+    cnt = Counter(abs(c) for c in values)
     k0 = _run_len(cnt, 1)
-    s0 = _run_len(cnt, 2 if fam != "D" else 0)
+    s0 = _run_len(cnt, 2 if datum.family != "D" else 0)
 
     kappa, sigma = [], []
     for parity, out in ((1, kappa), (0, sigma)):
@@ -111,35 +108,6 @@ def _extract(lam, datum):
             bottom = (b + 1) // 2  # k of (k-1/2, ...) or n of (n, ...)
             out.append((bottom, bottom + _run_len(cnt, b) - 1))
 
-    # adjacency condition per parity class, in extraction order (anchored
-    # run first): consecutive runs must be >= 2 apart or one must contain
-    # the other.
-    def _chain_ok(runs):
-        for (k1, K1), (k2, K2) in zip(runs, runs[1:]):
-            if not (k2 - K1 >= 2 or (k1 <= k2 <= K2 <= K1)):
-                return False
-        return True
-
-    half_chain = ([(1, k0)] if k0 else []) + kappa
-    if fam == "D":
-        int_chain = ([(0, s0 - 1)] if s0 else []) + sigma
-    else:
-        int_chain = ([(1, s0)] if s0 else []) + sigma
-    nested = _chain_ok(half_chain) and _chain_ok(int_chain)
-    return k0, s0, kappa, sigma, nested
-
-
-def _decompose(lam, datum, strict=True):
-    if datum.family not in ("B", "C", "D"):
-        raise ValueError("string decomposition is defined for families B/C/D")
-    if len(lam) != datum.rank:
-        raise ValueError("expected %d coordinates, got %d" % (datum.rank, len(lam)))
-    if strict:
-        if not is_dominant(lam, datum):
-            raise ValueError("lambda must be dominant")
-        if lam.is_integral:
-            raise ValueError("lambda must be half-integral (some non-integer entry)")
-    k0, s0, kappa, sigma, nested = _extract(lam, datum)
     present = lambda runs: tuple(sorted(runs, key=lambda r: (r[0] - r[1], r[0])))
     return StringDecomp(
         datum=datum,
@@ -147,14 +115,21 @@ def _decompose(lam, datum, strict=True):
         sigma0_len=s0,
         kappa=present(kappa),
         sigma=present(sigma),
-        nested=nested,
     )
 
 
 def decompose_strings(lam, datum):
     """Cut the coordinate multiset of a dominant half-integral ``lam``
     into anchored and floating maximal consecutive runs."""
-    return _decompose(lam, datum, strict=True)
+    if datum.family not in ("B", "C", "D"):
+        raise ValueError("string decomposition is defined for families B/C/D")
+    if len(lam) != datum.rank:
+        raise ValueError("expected %d coordinates, got %d" % (datum.rank, len(lam)))
+    if not is_dominant(lam, datum):
+        raise ValueError("lambda must be dominant")
+    if lam.is_integral:
+        raise ValueError("lambda must be half-integral (some non-integer entry)")
+    return _decompose(lam.doubled, datum)
 
 
 # ---------------------------------------------------------------------------
@@ -320,42 +295,17 @@ def _spherical_B(sd):
         "B:absorbed-sigma-exceeds-kappa", _b_imbalance_pair(datum, K0f, N0f))
 
 
-def _string_values(sd):
-    """All strings of the decomposition as doubled coordinate lists."""
-    out = []
-    if sd.kappa0_len:
-        out.append(list(range(1, 2 * sd.kappa0_len, 2)))
-    if sd.sigma0_len:
-        lo = 0 if sd.datum.family == "D" else 2
-        out.append(list(range(lo, lo + 2 * sd.sigma0_len, 2)))
-    for (k, K) in sd.kappa:
-        out.append(list(range(2 * k - 1, 2 * K, 2)))
-    for (n, N) in sd.sigma:
-        out.append(list(range(2 * n, 2 * N + 1, 2)))
-    return out
-
-
-def _has_half_gap(strings):
-    """True if two different strings come within 1/2 of each other
-    (doubled distance 1)."""
-    for i in range(len(strings)):
-        for j in range(i + 1, len(strings)):
-            for x in strings[i]:
-                for y in strings[j]:
-                    if abs(x - y) == 1:
-                        return True
-    return False
-
-
-def _c_gap_pair(datum, strings):
+def _c_gap_pair(datum, values):
     """C witness split: neighbouring strings hit the (1,1,..) K-type,
-    fully separated ones the (2,0,..) K-type."""
-    if _has_half_gap(strings):
+    fully separated ones the (2,0,..) K-type.  Two magnitudes 1 apart
+    (doubled) have opposite parity, so they lie in different strings."""
+    mags = set(map(abs, values))
+    if any(x + 1 in mags for x in mags):
         return "adjacent-strings", (_trivial_kt(datum), _kt(datum, [1, 1]))
     return "separated-strings", (_trivial_kt(datum), _kt(datum, [2]))
 
 
-def _spherical_C(sd):
+def _spherical_C(sd, values):
     datum, K0, N0 = sd.datum, sd.kappa0_len, sd.sigma0_len
     if K0 >= 1 and N0 == 0 and not sd.has_extras:
         cert = {
@@ -367,7 +317,7 @@ def _spherical_C(sd):
     if N0 >= 1 and K0 == 0 and not sd.has_extras:
         cert = {"kind": "trivial", "orbit": [1] * (2 * N0)}
         return _unitary("C:trivial", cert)
-    tag, pair = _c_gap_pair(datum, _string_values(sd))
+    tag, pair = _c_gap_pair(datum, values)
     return _nonunitary("C:" + tag, pair)
 
 
@@ -414,43 +364,23 @@ def spherical_unitarity(lam, datum):
         raise ValueError("lambda must be regular")
     if datum.family == "A":
         return full_unitarity(ZhParam(lam, lam, datum))
-    sd = _decompose(lam, datum, strict=False)
-    return {"B": _spherical_B, "C": _spherical_C, "D": _spherical_D}[datum.family](sd)
+    return _spherical(lam.doubled, datum)
+
+
+def _spherical(values, datum):
+    """The spherical verdict for the regular doubled coordinates
+    ``values`` of a B/C/D datum."""
+    sd = _decompose(values, datum)
+    if datum.family == "B":
+        return _spherical_B(sd)
+    if datum.family == "C":
+        return _spherical_C(sd, values)
+    return _spherical_D(sd)
 
 
 # ---------------------------------------------------------------------------
 # relevant parameters: one small non-spherical block
 # ---------------------------------------------------------------------------
-
-_HALF_BLOCK = "half"      # lambda-block (1/2 \\ -1/2), K-type entry 1
-_GL2_BLOCK = "gl2"        # lambda-block (1,0 \\ 0,-1), K-type entries (1,1)
-
-
-def _split_relevant(param, datum):
-    """Normalize and split into (block kind, spherical coordinate list),
-    on doubled coordinates."""
-    cp = canonical_param(param.lambda_L, param.lambda_R, datum)
-    pairs = []
-    for l, r in zip(cp.lambda_L.doubled, cp.lambda_R.doubled):
-        pairs.append((l, r) if l - r >= 0 else (-l, -r))
-    spherical = [l for (l, r) in pairs if l == r]
-    block = sorted(((l, r) for (l, r) in pairs if l != r), reverse=True)
-    if any(l - r != 2 for (l, r) in block):
-        raise ValueError("non-spherical block must have lowest K-type entries 1")
-    if block == [(1, -1)]:
-        kind = _HALF_BLOCK
-    elif block == [(2, 0), (0, -2)]:
-        if datum.family != "D":
-            raise ValueError("the (1,0 \\ 0,-1) block only occurs in type D")
-        kind = _GL2_BLOCK
-    elif not block:
-        raise ValueError("parameter is spherical; use spherical_unitarity")
-    else:
-        raise ValueError("malformed non-spherical block (%s \\ %s)" % (
-            HalfIntVec(tuple(l for l, _ in block)),
-            HalfIntVec(tuple(r for _, r in block))))
-    return kind, spherical
-
 
 def _lift(datum, extra, kts):
     """Prepend ``extra`` coordinates to each witness K-type."""
@@ -458,29 +388,15 @@ def _lift(datum, extra, kts):
         _kt(datum, [c // 2 for c in kt.hw.doubled] + list(extra)) for kt in kts)
 
 
-def _sub_decomp(doubled, family):
-    sub = RootDatum(family, len(doubled))
-    lam = HalfIntVec(tuple(sorted(doubled, reverse=True)))
-    return _decompose(lam, sub, strict=False), sub
-
-
-def relevant_unitarity(param, datum=None):
-    """Decide unitarity when the non-spherical part is a single small
-    block: (1/2 \\ -1/2) for B/C/D or (1,0 \\ 0,-1) for D."""
-    if datum is None:
-        datum = param.datum
-    elif datum != param.datum:
-        raise ValueError("datum does not match the parameter")
-    if datum.family not in ("B", "C", "D"):
-        raise ValueError("relevant parameters only occur in families B/C/D")
-    kind, spherical = _split_relevant(param, datum)
-    lam = dominant_rep(param.lambda_L, datum)
-    if not is_regular(lam, datum):
-        raise ValueError("lambda must be regular")
+def _relevant(datum, block, spherical):
+    """Decide the level <= 1 part of a parameter whose level 1 holds one
+    small block: (1/2 \\ -1/2) for B/C/D or (1,0 \\ 0,-1) for D.
+    ``block`` is the level-1 doubled pairs (l, l-2) sorted descending,
+    ``spherical`` the level-0 doubled coordinates."""
     fam = datum.family
     s = len(spherical)
 
-    if kind == _GL2_BLOCK:
+    if block == [(2, 0), (0, -2)]:
         if s == 0:
             cert = {
                 "kind": "induced",
@@ -492,6 +408,11 @@ def relevant_unitarity(param, datum=None):
         return _nonunitary(
             "relevant-D:gl2-nontrivial-tail",
             _lift(datum, [1, 1], _bottom_pair(sub)))
+
+    if block != [(1, -1)]:
+        raise ValueError("malformed non-spherical block (%s \\ %s)" % (
+            HalfIntVec(tuple(l for l, _ in block)),
+            HalfIntVec(tuple(r for _, r in block))))
 
     # (1/2 \ -1/2) block ----------------------------------------------------
     block_cert = {"size": 1, "level": 1, "string": ["1/2"]}
@@ -510,7 +431,8 @@ def relevant_unitarity(param, datum=None):
         if s == 0:
             cert = {"kind": "unipotent", "family": "C_odd", "n": 1}
             return _unitary("C:oscillator-odd", cert)
-        sd, sub = _sub_decomp(spherical, "C")
+        sub = RootDatum("C", s)
+        sd = _decompose(spherical, sub)
         K1 = sd.kappa[0][1] if len(sd.kappa) == 1 and sd.kappa[0][0] == 2 else None
         if (K1 is not None and sd.sigma0_len == 0 and not sd.sigma
                 and sd.kappa0_len == 0):
@@ -525,7 +447,7 @@ def relevant_unitarity(param, datum=None):
                          "orbit": [1] * (2 * sd.sigma0_len)},
             }
             return _unitary("relevant-C:character-induced", cert)
-        tag, pair = _c_gap_pair(sub, _string_values(sd))
+        tag, pair = _c_gap_pair(sub, spherical)
         return _nonunitary("relevant-C:" + tag, _lift(datum, [1], pair))
 
     # fam == "D"
@@ -533,7 +455,8 @@ def relevant_unitarity(param, datum=None):
         cert = {"kind": "induced", "gl_blocks": [block_cert],
                 "core": {"kind": "trivial", "rank": 0}}
         return _unitary("relevant-D:character", cert)
-    sd, sub = _sub_decomp(spherical, "D")
+    sub = RootDatum("D", s)
+    sd = _decompose(spherical, sub)
     N0 = sd.sigma0_len
     if N0 == 0:
         return _nonunitary(
@@ -618,8 +541,8 @@ def full_unitarity(param):
     integral.
 
     Levels >= 2 of the lowest K-type must stack into unitary characters
-    of GL factors; the level <= 1 part is delegated to
-    :func:`relevant_unitarity` / :func:`spherical_unitarity` and the
+    of GL factors; the level <= 1 part is decided from its split pairs
+    (a spherical tail, possibly under one small level-1 block) and the
     verdict is pulled back through the induction.
     """
     datum = param.datum
@@ -659,21 +582,19 @@ def full_unitarity(param):
                 "core": {"kind": "trivial", "rank": 0}}
         return _unitary("A:character-stack", cert)
 
-    # delegate levels <= 1
-    sub_pairs = [p for r in levels if r <= 1 for p in levels[r]]
+    # decide levels <= 1
     gl_coords = sorted(
         (r for r in levels if r >= 2 for _ in levels[r]), reverse=True)
-
-    if not sub_pairs:
+    block = sorted(levels.get(1, []), reverse=True)
+    spherical = [l for (l, _) in levels.get(0, [])]
+    if not block and not spherical:
         sub = _unitary("trivial", {"kind": "trivial", "rank": 0})
     else:
-        sub_datum = RootDatum(fam, len(sub_pairs))
-        sub_l = HalfIntVec(tuple(l for (l, _) in sub_pairs))
-        sub_r = HalfIntVec(tuple(r for (_, r) in sub_pairs))
-        if 1 in levels:
-            sub = relevant_unitarity(ZhParam(sub_l, sub_r, sub_datum))
+        sub_datum = RootDatum(fam, len(block) + len(spherical))
+        if block:
+            sub = _relevant(sub_datum, block, spherical)
         else:
-            sub = spherical_unitarity(sub_l, sub_datum)
+            sub = _spherical(spherical, sub_datum)
 
     if not blocks:
         return sub

@@ -186,6 +186,9 @@ def test_precondition_violations_exit_2(capsys):
         ("spin-norm", "--type", "D", "--eta=-1,-2,-3"),
         ("prv", "--type", "D", "--a=-1,-2,-3", "--b=1,0,0"),
         ("dim", "--type", "D", "--rank", "2", "--hw=-1,-3"),
+        # the second weight's rank clashes with the first's
+        ("tensor", "--type", "C", "--a", "1,0", "--b", "1,0,0"),
+        ("prv", "--type", "C", "--a", "1,0", "--b", "1,0,0"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)

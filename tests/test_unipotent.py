@@ -5,8 +5,10 @@ import itertools
 
 import pytest
 
+from diracdual import unipotent
 from diracdual.weights import HalfIntVec, dominant_rep
 from diracdual.unipotent import (
+    column_pairing,
     component_group_order,
     enumerate_parameters,
     infinitesimal_character,
@@ -168,6 +170,14 @@ def test_very_even_tag():
     orbit = validate((2, 2, 2, 2), "D")
     tagged = enumerate_parameters(orbit)
     assert all(p.very_even_tag == "I/II" for p in tagged)
+
+
+def test_column_pairing_checks_are_runtime_errors(monkeypatch):
+    # a broken column list is an internal error under ``python -O`` too
+    orbit = validate((3,), "B")
+    monkeypatch.setattr(unipotent, "transpose", lambda rows: (2,))
+    with pytest.raises(RuntimeError, match="^leading column must be odd$"):
+        column_pairing(orbit)
 
 
 # -- flags ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from diracdual.weights import (
 from diracdual.characters import KType
 from diracdual.dirac import spin_norm_sq_x4
 from diracdual.unitarity import (
+    _decompose,
     _is_hermitian,
     decompose_strings,
     full_unitarity,
@@ -489,6 +490,84 @@ def test_malformed_block_names_its_coordinates():
         ValueError, match=r"^malformed non-spherical block \(1,1/2,0 \\ 0,-1/2,-1\)$"
     ):
         full_unitarity(param)
+
+
+# -- every small regular Hermitian parameter ----------------------------------------
+
+
+def _small_hermitian_params():
+    """Every regular Hermitian (lambda_L, lambda_R) with lambda_L - lambda_R
+    integral and doubled entries in [-4, 4], at ranks 1-3 of B/C/D."""
+    coord = [(l, r) for l in range(-4, 5) for r in range(-4, 5) if (l - r) % 2 == 0]
+    for family in "BCD":
+        for rank in (1, 2, 3):
+            datum = RootDatum(family, rank)
+            for pairs in itertools.product(coord, repeat=rank):
+                lL = tuple(l for l, _ in pairs)
+                lR = tuple(r for _, r in pairs)
+                if is_regular(HalfIntVec(lL), datum) and _is_hermitian(lL, lR, family):
+                    yield ZhParam(HalfIntVec(lL), HalfIntVec(lR), datum)
+
+
+def _string_values(sd):
+    """All strings of the decomposition as doubled coordinate lists."""
+    out = []
+    if sd.kappa0_len:
+        out.append(list(range(1, 2 * sd.kappa0_len, 2)))
+    if sd.sigma0_len:
+        lo = 0 if sd.datum.family == "D" else 2
+        out.append(list(range(lo, lo + 2 * sd.sigma0_len, 2)))
+    for (k, K) in sd.kappa:
+        out.append(list(range(2 * k - 1, 2 * K, 2)))
+    for (n, N) in sd.sigma:
+        out.append(list(range(2 * n, 2 * N + 1, 2)))
+    return out
+
+
+def _has_half_gap(strings):
+    """True if two different strings come within 1/2 of each other
+    (doubled distance 1): the reference for the C witness split."""
+    for i in range(len(strings)):
+        for j in range(i + 1, len(strings)):
+            for x in strings[i]:
+                for y in strings[j]:
+                    if abs(x - y) == 1:
+                        return True
+    return False
+
+
+def test_every_small_hermitian_parameter():
+    # a verdict for all but the 48 D3 parameters whose level 1 holds both
+    # small blocks; Dirac's inequality on every Unitary verdict; and the C
+    # witness split against string-by-string adjacency
+    verdicts, unitary, equal, malformed, c_split = 0, 0, 0, 0, {}
+    for param in _small_hermitian_params():
+        datum = param.datum
+        try:
+            verdict = full_unitarity(param)
+        except ValueError as exc:
+            assert datum == RootDatum("D", 3), (str(param), exc)
+            assert str(exc).startswith("malformed non-spherical block"), (str(param), exc)
+            malformed += 1
+            continue
+        verdicts += 1
+        if verdict.is_unitary:
+            unitary += 1
+            slack = _dirac_slack(param.lambda_L, param.lambda_R, datum)
+            assert slack >= 0, str(param)
+            equal += slack == 0
+        tag = verdict.case.rpartition(":")[2]
+        if tag in ("adjacent-strings", "separated-strings"):
+            assert datum.family == "C", (str(param), verdict.case)
+            level0 = [l for l, r in zip(param.lambda_L.doubled, param.lambda_R.doubled)
+                      if l == r]
+            sd = _decompose(level0, RootDatum("C", len(level0)))
+            want = "adjacent-strings" if _has_half_gap(_string_values(sd)) else "separated-strings"
+            assert tag == want, (str(param), verdict.case)
+            c_split[tag] = c_split.get(tag, 0) + 1
+    assert (verdicts, malformed) == (7337, 48)
+    assert (unitary, equal) == (3151, 49)
+    assert set(c_split) == {"adjacent-strings", "separated-strings"}, c_split
 
 
 # -- the Hermitian test against brute-force Weyl orbits -----------------------------
