@@ -54,11 +54,8 @@ def _datum(args, *weights):
 
 
 def _family(args):
-    kind = args.family
-    if kind not in KINDS:
-        raise ValueError("unknown family kind %r" % (kind,))
     return UnipotentFamily(
-        kind, a=args.a or 0, b=args.b or 0, n=args.n or 0
+        args.family, a=args.a or 0, b=args.b or 0, n=args.n or 0
     )
 
 

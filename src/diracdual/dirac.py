@@ -32,9 +32,6 @@ from .weights import (
 from .characters import KType, rho_tensor_engine
 from .spectrum import _shape, kspectrum, search_norm_bound_x4, two_lambda
 
-# The families whose K-spectra are catalogued in spectrum.kspectrum.
-SERIES_KINDS = ("B", "C_even", "C_odd", "D_even", "D_odd")
-
 
 @dataclass(frozen=True)
 class DiracResult:
@@ -88,20 +85,6 @@ def _spin_norm_sq_x4(doubled, family, rho_doubled):
     return sum(map(mul, back, back))
 
 
-def _parity_nonzero(fam):
-    """The even/odd selection rule: which C/D family member carries
-    cohomology.  None for type B, where every member does."""
-    if fam.kind == "C_even":
-        return fam.n % 2 == 0
-    if fam.kind == "C_odd":
-        return fam.n % 2 == 1
-    if fam.kind == "D_even":
-        return fam.a % 2 == 0
-    if fam.kind == "D_odd":
-        return fam.a % 2 == 1
-    return None
-
-
 def spin_lkt_unipotent(fam, bound=None):
     """Scan the family's K-spectrum for its spin-norm minimizers.
 
@@ -127,7 +110,7 @@ def spin_lkt_unipotent(fam, bound=None):
     Every call still builds a fresh result and ``checks`` dict and
     repeats the floor, tie and even/odd checks.
     """
-    if fam.kind not in SERIES_KINDS:
+    if fam.kind == "A":
         raise ValueError(
             "no spin-norm scan for %s: the family's K-types are not catalogued"
             % (fam,)
@@ -157,7 +140,12 @@ def spin_lkt_unipotent(fam, bound=None):
             "spin-norm tie on the floor for %s: %s"
             % (fam, ", ".join(str(m) for m in minimizers))
         )
-    rule = _parity_nonzero(fam)
+    # the even/odd selection rule (none for B, where every member has
+    # cohomology): a C/D member carries cohomology exactly when its size,
+    # n for C and a for D, has its K-types' coordinate-sum parity
+    rule = None if fam.parity is None else (
+        (fam.n if datum.family == "C" else fam.a) % 2 == fam.parity
+    )
     if complete and rule is not None and rule != nonzero:
         raise RuntimeError(
             "even/odd selection rule disagrees with the scan for %s" % (fam,)
@@ -312,7 +300,7 @@ def parity_vanishing(fam, bound):
     multiplicities without the shortcut.  True when both confirm zero;
     ``bound`` caps the scanned coordinates.
     """
-    if fam.kind not in ("C_even", "C_odd", "D_even", "D_odd"):
+    if fam.parity is None:
         raise ValueError("parity vanishing only applies to the C/D families")
     res = spin_lkt_unipotent(fam)
     if res.nonzero:
@@ -366,7 +354,7 @@ def dirac_induced(gl_blocks, core, xi):
     blocks = [int(k) for k in gl_blocks]
     if any(k <= 0 for k in blocks):
         raise ValueError("GL block sizes must be positive")
-    if core.kind not in SERIES_KINDS:
+    if core.kind == "A":
         raise ValueError("core %s has no catalogued K-spectrum" % (core,))
     if not isinstance(xi, HalfIntVec):
         xi = HalfIntVec.from_halves(xi)

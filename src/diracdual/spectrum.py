@@ -13,11 +13,6 @@ Families (rank derived from the parameters):
   D_odd(a, b)      same shape, sum odd
   A(a, b)          gl(a+b) module induced from the trivial character of
                    GL(a) x GL(b)
-  SpinB(n)         genuine family of the odd spin double cover
-  SpinD+(n), SpinD-(n)   genuine families of the even spin double cover
-
-The genuine Spin families carry only their two_lambda value here; their
-spectra are not part of this catalog.
 """
 
 from dataclasses import dataclass
@@ -33,20 +28,18 @@ from .weights import (
 )
 from .characters import KType
 
-KINDS = (
-    "B",
-    "C_even",
-    "C_odd",
-    "D_even",
-    "D_odd",
-    "A",
-    "SpinB",
-    "SpinD+",
-    "SpinD-",
-)
+# kind -> (root system, coordinate-sum parity of the K-types or None);
+# the C kinds are sized by n, the others by (a, b)
+_KINDS = {
+    "B": ("B", None),
+    "C_even": ("C", 0),
+    "C_odd": ("C", 1),
+    "D_even": ("D", 0),
+    "D_odd": ("D", 1),
+    "A": ("A", None),
+}
 
-_AB_KINDS = ("B", "D_even", "D_odd", "A")
-_N_KINDS = ("C_even", "C_odd", "SpinB", "SpinD+", "SpinD-")
+KINDS = tuple(_KINDS)
 
 
 @dataclass(frozen=True)
@@ -57,39 +50,34 @@ class UnipotentFamily:
     n: int = 0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _KINDS:
             raise ValueError("unknown family kind %r" % (self.kind,))
-        if self.kind in _AB_KINDS:
-            if not (0 < self.a <= self.b):
-                raise ValueError("need 0 < a <= b, got a=%s b=%s" % (self.a, self.b))
-        else:
+        if _KINDS[self.kind][0] == "C":
             if self.n < 1:
                 raise ValueError("need n >= 1")
+        elif not (0 < self.a <= self.b):
+            raise ValueError("need 0 < a <= b, got a=%s b=%s" % (self.a, self.b))
 
     @property
     def datum(self):
-        k = self.kind
-        if k == "B":
-            return RootDatum("B", self.a + self.b)
-        if k in ("C_even", "C_odd"):
-            return RootDatum("C", self.n)
-        if k in ("D_even", "D_odd"):
-            return RootDatum("D", self.a + self.b)
-        if k == "A":
-            return RootDatum("A", self.a + self.b)
-        if k == "SpinB":
-            return RootDatum("B", self.n)
-        return RootDatum("D", self.n)
+        family = _KINDS[self.kind][0]
+        return RootDatum(family, self.n if family == "C" else self.a + self.b)
+
+    @property
+    def parity(self):
+        """The coordinate-sum parity of the family's K-types; None for
+        B and A, which have no parity condition."""
+        return _KINDS[self.kind][1]
 
     def __str__(self):
-        if self.kind in _AB_KINDS:
-            return "%s(%d,%d)" % (self.kind, self.a, self.b)
-        return "%s(%d)" % (self.kind, self.n)
+        if _KINDS[self.kind][0] == "C":
+            return "%s(%d)" % (self.kind, self.n)
+        return "%s(%d,%d)" % (self.kind, self.a, self.b)
 
 
-def _halves_down(top_doubled, count):
-    # top, top-1, ..., length count (doubled arithmetic)
-    return tuple(top_doubled - 2 * i for i in range(count))
+def _half_string(m):
+    """The doubled string -(m - 1/2), ..., -3/2, -1/2."""
+    return tuple(range(1 - 2 * m, 0, 2))
 
 
 def zh_param(fam):
@@ -97,55 +85,28 @@ def zh_param(fam):
 
     Both sides are built from the explicit strings; the odd members of
     the C/D families flip the sign of the -1/2 entry on the right side.
-    Genuine Spin families have no parameter at this level.
     """
-    k = fam.kind
-    if k == "B":
-        left = _halves_down(-1, fam.b)[::-1] + tuple(
-            -2 * i for i in range(fam.a, 0, -1)
-        )
-        lam = HalfIntVec(left)
+    family = fam.datum.family
+    if family == "B":
+        lam = HalfIntVec(_half_string(fam.b) + tuple(range(-2 * fam.a, 0, 2)))
         return ZhParam(lam, lam, fam.datum)
-    if k in ("C_even", "C_odd"):
-        left = tuple(-(2 * (fam.n - i) - 1) for i in range(fam.n))
-        right = left if k == "C_even" else left[:-1] + (1,)
-        return ZhParam(HalfIntVec(left), HalfIntVec(right), fam.datum)
-    if k in ("D_even", "D_odd"):
-        half = tuple(-(2 * (fam.a - i) - 1) for i in range(fam.a))
-        ints = tuple(-2 * (fam.b - 1 - i) for i in range(fam.b))
-        left = half + ints
-        if k == "D_even":
-            right = left
-        else:
-            right = half[:-1] + (1,) + ints
-        return ZhParam(HalfIntVec(left), HalfIntVec(right), fam.datum)
-    if k == "A":
-        coords = tuple(fam.a - 1 - 2 * i for i in range(fam.a)) + tuple(
-            fam.b - 1 - 2 * i for i in range(fam.b)
-        )
-        lam = HalfIntVec(coords)
-        return ZhParam(lam, lam, fam.datum)
-    raise ValueError("no parameter pair for the genuine family %s" % (fam,))
+    if family in ("C", "D"):
+        half = _half_string(fam.n if family == "C" else fam.a)
+        ints = tuple(range(2 - 2 * fam.b, 1, 2)) if family == "D" else ()
+        right = half[:-1] + (1,) if fam.parity else half
+        return ZhParam(HalfIntVec(half + ints), HalfIntVec(right + ints), fam.datum)
+    coords = tuple(fam.a - 1 - 2 * i for i in range(fam.a)) + tuple(
+        fam.b - 1 - 2 * i for i in range(fam.b)
+    )
+    lam = HalfIntVec(coords)
+    return ZhParam(lam, lam, fam.datum)
 
 
 def two_lambda(fam):
-    """The dominant vector 2*lambda of the family.
-
-    For the non-genuine families this is twice the left parameter made
-    dominant; the genuine Spin families have the fixed half-integer
-    strings (2n-1, ..., 3, 1)/2 and (2n-1, ..., 3, +-1)/2.
-    """
-    k = fam.kind
-    if k == "SpinB":
-        return HalfIntVec(tuple(2 * (fam.n - i) - 1 for i in range(fam.n)))
-    if k in ("SpinD+", "SpinD-"):
-        coords = [2 * (fam.n - i) - 1 for i in range(fam.n)]
-        if k == "SpinD-":
-            coords[-1] = -coords[-1]
-        return HalfIntVec(tuple(coords))
+    """The dominant vector 2*lambda of the family: twice the left
+    parameter made dominant."""
     lam = zh_param(fam).lambda_L
-    doubled2 = HalfIntVec(tuple(2 * c for c in lam.doubled))
-    return dominant_rep(doubled2, fam.datum)
+    return dominant_rep(lam + lam, fam.datum)
 
 
 def kspectrum(fam, bound):
@@ -164,17 +125,16 @@ def _shape(fam):
     ``length`` free weakly decreasing columns, each written ``weight``
     times (the B shape repeats every column), then ``pad`` zeros; the
     column sum must have the given parity (None: no condition)."""
-    k = fam.kind
-    if k in ("C_even", "C_odd"):
-        length, pad = 1, fam.n - 1
-    elif k == "B":
-        length, pad = fam.a, fam.b - fam.a
-    elif k in ("D_even", "D_odd"):
-        length, pad = 2 * fam.a, fam.b - fam.a
+    family = fam.datum.family
+    if family == "C":
+        length, pad, weight = 1, fam.n - 1, 1
+    elif family == "B":
+        length, pad, weight = fam.a, fam.b - fam.a, 2
+    elif family == "D":
+        length, pad, weight = 2 * fam.a, fam.b - fam.a, 1
     else:
         raise ValueError("no K-spectrum catalog for family %s" % (fam,))
-    parity = {"C_even": 0, "C_odd": 1, "D_even": 0, "D_odd": 1}.get(k)
-    return length, pad, 2 if k == "B" else 1, parity
+    return length, pad, weight, fam.parity
 
 
 def _highest_weights(fam, bound):

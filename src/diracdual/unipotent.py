@@ -181,17 +181,19 @@ def _centered_string(v):
 
 
 def _contributions(pairing):
-    """Spherical strings plus per-pair string factories."""
+    """The doubled coordinates every parameter of the orbit shares: the
+    centered strings of the removed equal pairs, then the anchor's
+    string."""
     fam = pairing.family
-    spherical = [_centered_string(v) for v in pairing.equal_removed]
+    coords = [c for v in pairing.equal_removed for c in _centered_string(v)]
     if fam == "B":
-        spherical.append(_string(pairing.singleton - 2, 1))
+        coords += _string(pairing.singleton - 2, 1)
     elif fam == "C":
-        spherical.append(_string(pairing.singleton, 2))
+        coords += _string(pairing.singleton, 2)
     elif pairing.spherical_pair is not None:
         m0, mlast = pairing.spherical_pair
-        spherical.append(_string(m0 - 2, -mlast))
-    return spherical
+        coords += _string(m0 - 2, -mlast)
+    return tuple(coords)
 
 
 @dataclass(frozen=True)
@@ -227,13 +229,10 @@ def infinitesimal_character(orbit):
         datum = orbit.datum
         return dominant_rep(HalfIntVec(coords), datum)
     pairing = column_pairing(orbit)
-    coords = []
-    for s in _contributions(pairing):
-        coords.extend(s)
-    for a, b in pairing.pairs:
-        coords.extend(_pair_string(a, b))
-    datum = orbit.datum
-    return dominant_rep(HalfIntVec(tuple(coords)), datum)
+    coords = _contributions(pairing) + tuple(
+        c for a, b in pairing.pairs for c in _pair_string(a, b)
+    )
+    return dominant_rep(HalfIntVec(coords), orbit.datum)
 
 
 def component_group_order(orbit):
@@ -307,9 +306,7 @@ def enumerate_parameters(orbit):
         lam = infinitesimal_character(orbit)
         return [UnipotentParam(orbit, (), ZhParam(lam, lam, datum))]
     pairing = column_pairing(orbit)
-    spherical = []
-    for s in _contributions(pairing):
-        spherical.extend(s)
+    spherical = _contributions(pairing)
     frozen = set(_frozen_pairs(pairing))
     free = [i for i in range(len(pairing.pairs)) if i not in frozen]
     out = []
@@ -361,26 +358,11 @@ def is_stably_trivial(orbit):
 def is_triangular(orbit):
     """The staircase partitions: B (2m+1,2m-1,2m-1,...,3,3,1,1),
     C (2m,2m,...,2,2), D (2m-1,2m-1,...,1,1).  Not defined for A."""
-    rows = list(orbit.rows)
     if orbit.family == "A":
         return False
-    if orbit.family == "B":
-        want = [rows[0]]
-        v = rows[0] - 2
-        while v >= 1:
-            want.extend([v, v])
-            v -= 2
-        return rows[0] % 2 == 1 and rows == want
-    if orbit.family == "C":
-        want = []
-        v = rows[0]
-        while v >= 2:
-            want.extend([v, v])
-            v -= 2
-        return rows[0] % 2 == 0 and rows == want
-    want = []
-    v = rows[0]
-    while v >= 1:
-        want.extend([v, v])
-        v -= 2
-    return rows[0] % 2 == 1 and rows == want
+    rows = list(orbit.rows)
+    head = 1 if orbit.family == "B" else 0  # B's unpaired largest row
+    want = rows[:head] + [
+        v for v in range(rows[0] - 2 * head, 0, -2) for _ in range(2)
+    ]
+    return rows[0] % 2 == (orbit.family != "C") and rows == want

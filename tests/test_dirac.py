@@ -144,6 +144,19 @@ def test_scan_rejects_uncatalogued():
         spin_lkt_unipotent(UnipotentFamily("SpinB", n=2))
 
 
+def test_stray_size_is_ignored():
+    # a family reads only the sizes of its kind: n for C, (a, b) otherwise;
+    # the stray sizes have the other parity, so reading them would flip
+    # the even/odd selection rule
+    for stray, plain in (
+        (UnipotentFamily("D_odd", a=1, b=2, n=4), fam("D_odd", 1, 2)),
+        (UnipotentFamily("C_odd", n=3, a=2, b=2), fam("C_odd", 3)),
+    ):
+        assert str(stray) == str(plain)
+        assert stray.datum == plain.datum
+        assert spin_lkt_unipotent(stray).as_dict() == spin_lkt_unipotent(plain).as_dict()
+
+
 def test_explicit_bound_reports_completeness():
     res = spin_lkt_unipotent(fam("C_even", 2), bound=3)
     assert not res.checks["complete"]

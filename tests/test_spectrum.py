@@ -53,7 +53,22 @@ def test_datum_ranks():
     assert UnipotentFamily("B", a=1, b=2).datum.rank == 3
     assert UnipotentFamily("C_odd", n=4).datum.rank == 4
     assert UnipotentFamily("D_even", a=2, b=3).datum.rank == 5
-    assert UnipotentFamily("SpinB", n=3).datum.rank == 3
+
+
+def test_kinds_table():
+    want = {
+        "B": ("B", None),
+        "C_even": ("C", 0),
+        "C_odd": ("C", 1),
+        "D_even": ("D", 0),
+        "D_odd": ("D", 1),
+        "A": ("A", None),
+    }
+    assert KINDS == tuple(want)
+    for kind, (family, parity) in want.items():
+        # every size given: each kind reads only the ones it is sized by
+        fam = UnipotentFamily(kind, a=1, b=2, n=3)
+        assert (fam.datum.family, fam.parity) == (family, parity), kind
 
 
 # -- 2*lambda --------------------------------------------------------------------
@@ -70,10 +85,6 @@ def test_two_lambda_closed_forms():
     assert str(two_lambda(UnipotentFamily("D_even", a=1, b=2))) == "2,1,0"
     assert str(two_lambda(UnipotentFamily("D_odd", a=2, b=3))) == "4,3,2,1,0"
     assert str(two_lambda(UnipotentFamily("D_even", a=1, b=4))) == "6,4,2,1,0"
-    # Spin series: half-integral
-    assert str(two_lambda(UnipotentFamily("SpinB", n=2))) == "3/2,1/2"
-    assert str(two_lambda(UnipotentFamily("SpinD+", n=3))) == "5/2,3/2,1/2"
-    assert str(two_lambda(UnipotentFamily("SpinD-", n=3))) == "5/2,3/2,-1/2"
 
 
 def test_two_lambda_matches_both_parameter_sides():
@@ -94,19 +105,6 @@ def test_two_lambda_dominant_regular():
         assert tl.is_integral
         # halving it must leave the lattice: some coordinate stays odd
         assert any(d % 4 != 0 for d in tl.doubled), str(fam)
-    for kind in ("SpinB", "SpinD+", "SpinD-"):
-        for n in range(2, 6):
-            fam = UnipotentFamily(kind, n=n)
-            tl = two_lambda(fam)
-            assert is_dominant(tl, fam.datum) and is_regular(tl, fam.datum)
-            # genuine families sit strictly between the lattices: every
-            # coordinate is an odd multiple of 1/2
-            assert all(d % 2 == 1 for d in tl.doubled), str(fam)
-
-
-def test_zh_param_rejects_spin():
-    with pytest.raises(ValueError):
-        zh_param(UnipotentFamily("SpinB", n=2))
 
 
 def test_family_parameters_are_unitary():
@@ -114,6 +112,15 @@ def test_family_parameters_are_unitary():
     for fam in _series_families(total_max=5, n_max=4):
         verdict = full_unitarity(zh_param(fam))
         assert verdict.status == "Unitary", "%s: %s" % (fam, verdict)
+    # A(a, b) with a + b odd, where 2*lambda is regular
+    for t in (3, 5, 7):
+        for a in range(1, t // 2 + 1):
+            fam = UnipotentFamily("A", a=a, b=t - a)
+            assert is_regular(two_lambda(fam), fam.datum), str(fam)
+            verdict = full_unitarity(zh_param(fam))
+            assert (verdict.status, verdict.case) == (
+                "Unitary", "A:character-stack"
+            ), "%s: %s" % (fam, verdict)
 
 
 # -- K-type catalogs --------------------------------------------------------------
@@ -208,12 +215,8 @@ def test_kspectrum_matches_brute_force_box():
 def test_kspectrum_rejects_uncatalogued():
     with pytest.raises(ValueError, match="no K-spectrum catalog"):
         list(kspectrum(UnipotentFamily("A", a=1, b=2), 3))
-    with pytest.raises(ValueError, match="no K-spectrum catalog"):
-        list(kspectrum(UnipotentFamily("SpinB", n=2), 3))
 
 
 def test_search_bound_covers_two_lambda():
     for fam in _series_families():
-        if fam.kind.startswith("Spin"):
-            continue
         assert search_norm_bound_x4(fam) > norm_sq_x4(two_lambda(fam))

@@ -196,6 +196,9 @@ def test_triangular():
     assert is_triangular(validate((2, 2), "C"))
     assert is_triangular(validate((4, 4, 2, 2), "C"))
     assert is_triangular(validate((3, 3, 1, 1), "D"))
+    assert is_triangular(validate((1,), "B"))
+    assert is_triangular(validate((1, 1), "D"))
+    assert not is_triangular(validate((4, 4, 2), "C"))
     assert not is_triangular(validate((2, 2, 2, 2), "C"))
     assert not is_triangular(validate((5, 1, 1), "B"))
     assert not is_triangular(validate((2, 1), "A"))
