@@ -14,6 +14,8 @@ For repeated tensor-with-spin-module queries the generic path is too
 slow, so ``RhoTensorEngine`` keeps the dominant weight multiplicities of
 V(rho), built one rank at a time from a product formula for its
 character, and answers a query by a pruned walk over the Weyl group.
+Many queries against one small target V(tau) are one tensor product
+instead (``_rho_tensor_multiplicities``).
 """
 
 from bisect import bisect_left
@@ -376,3 +378,42 @@ class RhoTensorEngine:
 @lru_cache(maxsize=8)
 def rho_tensor_engine(datum):
     return RhoTensorEngine(datum)
+
+
+def _rho_tensor_multiplicities(etas, tau, datum):
+    """[V(eta) (x) V(rho) : V(tau)] for each highest weight eta in etas,
+    exactly, by the cheaper of two routes.
+
+    V(rho) is self-dual, so the same number is [V(tau) (x) V(rho) : V(eta)]:
+    when dim V(tau) <= len(etas), one ``tensor_decompose`` answers every
+    eta (the dual route), else each eta is one engine query.  The test is
+    conservative.  Measured over box-4 K-types on a 2-core host, dual
+    against engine: it picks the dual route for D_even(3,3) (110 etas,
+    dim 1: 0.2 against 76 ms) and D_odd(2,4) (32 etas, dim 12: 0.3 against
+    36 ms), and the engine for C_odd(6) (2 etas: 0.46 s against 3 ms) and
+    C_even(5) (3 etas: 37 against 0.9 ms).  The dual cost tracks V(tau)'s
+    distinct weights, not its dimension, so the test still passes over
+    D_odd(2,5) (32 etas, dim 896: 3 ms against 0.25 s).
+    """
+    dual = _target_dim(tau, datum) <= len(etas)
+    return (_dual_route if dual else _engine_route)(etas, tau, datum)
+
+
+@lru_cache(maxsize=256)
+def _target_dim(tau, datum):
+    """dim V(tau), kept per target: the Weyl product alone costs about a
+    third of a small engine query (40 against 120 us at D5)."""
+    return dim(KType(tau, datum))
+
+
+def _dual_route(etas, tau, datum):
+    """One V(tau) (x) V(rho); an eta it does not hold reads as 0."""
+    rho_kt = KType(HalfIntVec(_rho_doubled(datum.family, datum.rank)), datum)
+    got = {kt.hw: m for kt, m in tensor_decompose(KType(tau, datum), rho_kt)}
+    return [got.get(eta, 0) for eta in etas]
+
+
+def _engine_route(etas, tau, datum):
+    """One ``RhoTensorEngine`` query per eta."""
+    engine = rho_tensor_engine(datum)
+    return [engine.multiplicity(eta, tau) for eta in etas]

@@ -29,7 +29,7 @@ from .weights import (
     norm_sq_x4,
     rho,
 )
-from .characters import KType, rho_tensor_engine
+from .characters import KType, _rho_tensor_multiplicities
 from .spectrum import _shape, kspectrum, search_norm_bound_x4, two_lambda
 
 
@@ -269,6 +269,9 @@ def hd_multiplicity(fam, via_tensor=False):
     spin-norm floor.  With ``via_tensor`` the count is recomputed as
     sum over the minimizers eta of [V(eta) (x) V(rho) : V(2 lambda - rho')]
     (each term is 1 on the floor and 0 off it); the two paths must agree.
+    The terms come from ``characters._rho_tensor_multiplicities``: one
+    V(2 lambda - rho') (x) V(rho) when that module is no larger than the
+    number of minimizers, else one V(rho) engine query per minimizer.
     """
     res = spin_lkt_unipotent(fam)
     factor = 2 ** (fam.datum.rank // 2)
@@ -277,9 +280,8 @@ def hd_multiplicity(fam, via_tensor=False):
         return by_count
     datum = fam.datum
     tau_hw = dominant_rep(two_lambda(fam), datum) - rho(datum)
-    engine = rho_tensor_engine(datum)
-    total = sum(engine.multiplicity(kt.hw, tau_hw) for kt, _ in res.spin_lkts)
-    by_tensor = factor * total
+    etas = [kt.hw for kt, _ in res.spin_lkts]
+    by_tensor = factor * sum(_rho_tensor_multiplicities(etas, tau_hw, datum))
     if by_tensor != by_count:
         raise RuntimeError(
             "multiplicity paths disagree for %s: tensor gives %d, count gives %d"
@@ -297,8 +299,15 @@ def parity_vanishing(fam, bound):
     eta + rho; for the vanishing member of an even/odd pair the target
     2 lambda - rho' sits in the opposite parity class for the whole
     spectrum.  The direct tensor computation checks the same
-    multiplicities without the shortcut.  True when both confirm zero;
-    ``bound`` caps the scanned coordinates.
+    multiplicities without the shortcut, each one exactly, by
+    ``characters._rho_tensor_multiplicities``: since V(rho) is self-dual,
+    [V(eta) (x) V(rho) : V(tau)] = [V(tau) (x) V(rho) : V(eta)], so when
+    dim V(tau) is at most the number of K-types in the box, one
+    V(tau) (x) V(rho) answers them all (D_even(3,3) has tau = 0, and
+    D_odd(4,4) at rank 8 takes milliseconds); otherwise each K-type is one
+    V(rho) engine query.  True when both confirm zero; ``bound`` caps the
+    scanned coordinates.  A box the parity argument clears but the tensor
+    computation does not raises RuntimeError, whichever route answered.
     """
     if fam.parity is None:
         raise ValueError("parity vanishing only applies to the C/D families")
@@ -310,20 +319,15 @@ def parity_vanishing(fam, bound):
     datum = fam.datum
     r = rho(datum)
     tau_hw = dominant_rep(two_lambda(fam), datum) - r
+    etas = [eta.hw for eta in kspectrum(fam, bound)]
+    if not etas:
+        raise ValueError("bound %s leaves no K-types to test" % (bound,))
     # doubled-coordinate sums mod 4 stand in for ordinary sums mod 2
     tau_class = sum(tau_hw.doubled) % 4
-    engine = rho_tensor_engine(datum)
-    parity_ok = True
-    tensor_zero = True
-    scanned = 0
-    for eta in kspectrum(fam, bound):
-        scanned += 1
-        if (sum(eta.hw.doubled) + sum(r.doubled)) % 4 == tau_class:
-            parity_ok = False
-        if engine.multiplicity(eta.hw, tau_hw) != 0:
-            tensor_zero = False
-    if scanned == 0:
-        raise ValueError("bound %s leaves no K-types to test" % (bound,))
+    parity_ok = all(
+        (sum(eta.doubled) + sum(r.doubled)) % 4 != tau_class for eta in etas
+    )
+    tensor_zero = not any(_rho_tensor_multiplicities(etas, tau_hw, datum))
     if parity_ok and not tensor_zero:
         raise RuntimeError(
             "parity argument and tensor computation disagree for %s" % (fam,)

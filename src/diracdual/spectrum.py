@@ -52,11 +52,17 @@ class UnipotentFamily:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError("unknown family kind %r" % (self.kind,))
+        # the sizes the kind does not read are zeroed, so a stray size
+        # neither splits equality nor the caches keyed by the family
         if _KINDS[self.kind][0] == "C":
             if self.n < 1:
                 raise ValueError("need n >= 1")
+            object.__setattr__(self, "a", 0)
+            object.__setattr__(self, "b", 0)
         elif not (0 < self.a <= self.b):
             raise ValueError("need 0 < a <= b, got a=%s b=%s" % (self.a, self.b))
+        else:
+            object.__setattr__(self, "n", 0)
 
     @property
     def datum(self):

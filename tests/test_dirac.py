@@ -3,12 +3,14 @@ catalogued families and their GL-induced relatives."""
 
 from itertools import combinations_with_replacement
 from math import isqrt
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diracdual.weights import HalfIntVec, RootDatum, dominant_rep, norm_sq_x4, rho, vec
-from diracdual.characters import KType, rho_tensor_engine
+from diracdual import characters
+from diracdual.characters import KType, RhoTensorEngine, rho_tensor_engine
 from diracdual.spectrum import (
     UnipotentFamily,
     kspectrum,
@@ -18,6 +20,7 @@ from diracdual.spectrum import (
 from diracdual.dirac import (
     DiracResult,
     _count_columns,
+    _scan,
     _spin_norm_sq_x4,
     dirac_induced,
     hd_multiplicity,
@@ -154,7 +157,12 @@ def test_stray_size_is_ignored():
     ):
         assert str(stray) == str(plain)
         assert stray.datum == plain.datum
+        assert stray == plain and hash(stray) == hash(plain)
+        # one family, so one scan: the second call is a cache hit
+        _scan.cache_clear()
         assert spin_lkt_unipotent(stray).as_dict() == spin_lkt_unipotent(plain).as_dict()
+        info = _scan.cache_info()
+        assert (info.misses, info.hits) == (1, 1), str(plain)
 
 
 def test_explicit_bound_reports_completeness():
@@ -396,6 +404,53 @@ def test_parity_rule_matches_scan():
 def test_parity_vanishing_certificate():
     assert parity_vanishing(fam("C_odd", 2), 8)
     assert parity_vanishing(fam("D_even", 1, 2), 6)
+
+
+def test_parity_vanishing_rank_eight_certificates():
+    # by one V(tau) (x) V(rho) each (the dual route); one engine query per
+    # K-type of the box took 18 s and 12 s
+    for f in (fam("D_odd", 4, 4), fam("D_even", 3, 5)):
+        start = time.perf_counter()
+        assert parity_vanishing(f, 4), str(f)
+        assert time.perf_counter() - start < 2.0, str(f)
+
+
+def _box_tau(f):
+    box = [eta.hw for eta in kspectrum(f, 4)]
+    return box, dominant_rep(two_lambda(f), f.datum) - rho(f.datum)
+
+
+def test_parity_vanishing_raises_on_a_dual_route_answer(monkeypatch):
+    # D_even(3,3) has tau = 0: the check is one V(0) (x) V(rho), and a
+    # box K-type it reports must reach the disagreement raise
+    f = fam("D_even", 3, 3)
+    box, tau = _box_tau(f)
+    assert KType(tau, f.datum).dim == 1 < len(box)
+    decompose = characters.tensor_decompose
+
+    def with_box_ktype(a, b):
+        d = decompose(a, b).as_dict()
+        d[KType(box[-1], f.datum)] = 1
+        return characters.Decomposition.from_dict(d)
+
+    monkeypatch.setattr(characters, "tensor_decompose", with_box_ktype)
+    with pytest.raises(RuntimeError, match="disagree"):
+        parity_vanishing(f, 4)
+
+
+def test_parity_vanishing_raises_on_an_engine_answer(monkeypatch):
+    # C_odd(6) has a huge V(tau) and two box K-types: one query each
+    f = fam("C_odd", 6)
+    box, tau = _box_tau(f)
+    assert KType(tau, f.datum).dim > len(box)
+    query = RhoTensorEngine.multiplicity
+
+    def with_box_ktype(self, eta, t):
+        return 1 if eta == box[-1] else query(self, eta, t)
+
+    monkeypatch.setattr(RhoTensorEngine, "multiplicity", with_box_ktype)
+    with pytest.raises(RuntimeError, match="disagree"):
+        parity_vanishing(f, 4)
 
 
 def test_parity_vanishing_rejects_nonvanishing():

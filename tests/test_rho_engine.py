@@ -16,8 +16,8 @@ import pytest
 import diracdual
 from diracdual import characters
 from diracdual.characters import KType, RhoTensorEngine
-from diracdual.dirac import hd_multiplicity
-from diracdual.spectrum import UnipotentFamily
+from diracdual.dirac import hd_multiplicity, spin_lkt_unipotent
+from diracdual.spectrum import UnipotentFamily, kspectrum, two_lambda
 from diracdual.weights import HalfIntVec, RootDatum, dominant_rep, is_dominant, rho
 
 
@@ -224,9 +224,56 @@ def test_query_rejects_wrong_rank():
 )
 def test_tensor_path_agrees_at_ranks_7_and_8(kind, a, b):
     fam = UnipotentFamily(kind, a=a, b=b)
-    assert fam.datum.rank in (7, 8)
+    datum = fam.datum
+    assert datum.rank in (7, 8)
     # hd_multiplicity raises RuntimeError when the two paths disagree
     assert hd_multiplicity(fam, via_tensor=True) == hd_multiplicity(fam)
+    # V(tau) is trivial for D_odd(3,4), D_even(4,4) and D_odd(4,4), so they
+    # take the dual route there: query the rank-7 and rank-8 engines on the
+    # minimizers too
+    res = spin_lkt_unipotent(fam)
+    engine = characters.rho_tensor_engine(datum)
+    tau = dominant_rep(two_lambda(fam), datum) - rho(datum)
+    total = sum(engine.multiplicity(kt.hw, tau) for kt, _ in res.spin_lkts)
+    assert total == (1 if res.nonzero else 0)
+
+
+def _catalogue(size):
+    for a in range(1, size // 2 + 1):
+        for b in range(a, size + 1 - a):
+            for kind in ("B", "D_even", "D_odd"):
+                yield UnipotentFamily(kind, a=a, b=b)
+    for n in range(1, size + 1):
+        for kind in ("C_even", "C_odd"):
+            yield UnipotentFamily(kind, n=n)
+
+
+def _route_cases():
+    # every catalogue family of size <= 6: a vanishing one over its box-4
+    # K-types, a nonvanishing one over its spin-LKT (each answer 1); then
+    # two rank-7 boxes, one on each side of the size test
+    for fam in _catalogue(6):
+        res = spin_lkt_unipotent(fam)
+        if res.nonzero:
+            yield fam, [kt.hw for kt, _ in res.spin_lkts], [1]
+        else:
+            yield fam, [eta.hw for eta in kspectrum(fam, 4)], None
+    for fam in (UnipotentFamily("D_even", a=3, b=4), UnipotentFamily("D_odd", a=2, b=5)):
+        yield fam, [eta.hw for eta in kspectrum(fam, 4)], None
+
+
+def test_rho_tensor_routes_agree():
+    # the dual route (one V(tau) (x) V(rho)) and the engine route (one
+    # query per eta) are exact, so they agree wherever both run
+    cases = list(_route_cases())
+    assert len(cases) == 39 + 2
+    for fam, etas, want in cases:
+        datum = fam.datum
+        tau = dominant_rep(two_lambda(fam), datum) - rho(datum)
+        dual = characters._dual_route(etas, tau, datum)
+        assert dual == characters._engine_route(etas, tau, datum), str(fam)
+        assert dual == (want or [0] * len(etas)), str(fam)
+        assert characters._rho_tensor_multiplicities(etas, tau, datum) == dual
 
 
 def _child(code):
