@@ -375,7 +375,7 @@ class RhoTensorEngine:
         return total
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=None)
 def rho_tensor_engine(datum):
     return RhoTensorEngine(datum)
 

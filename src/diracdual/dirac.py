@@ -13,7 +13,7 @@ dominant.  Everything here is exact integer arithmetic on quadrupled
 squared norms.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -105,11 +105,30 @@ def spin_lkt_unipotent(fam, bound=None):
     exactly rather than listing them.  Only the tied minimizers are
     sorted.
 
-    The scan works on integer tuples and is cached per family and
-    bound, so ``hd_multiplicity`` and ``parity_vanishing`` reuse it.
-    Every call still builds a fresh result and ``checks`` dict and
-    repeats the floor, tie and even/odd checks.
+    The whole answer, checks included, is derived once per family and
+    bound by the cached ``_scan``, which ``hd_multiplicity`` and
+    ``parity_vanishing`` read too.  Every call still gets its own
+    ``checks`` dict.
     """
+    res, _ = _scan(fam, bound)
+    return replace(res, checks=dict(res.checks))
+
+
+@lru_cache(maxsize=256)
+def _scan(fam, bound):
+    """(spin_lkt_unipotent's result, tau = 2 lambda - rho as a K-type,
+    kept even where the result's tau is None), floor, tie and even/odd
+    checks done; a failed check raises, and is not cached.
+
+    The columns are walked depth first, carrying the partial
+    4*||eta - rho||^2, which splits by column (the padding zeros add a
+    fixed sum of rho_i^2).  Since {eta - rho} and rho are both dominant,
+    ||{eta - rho} + rho||^2 >= ||eta - rho||^2 + ||rho||^2 (the Dirac
+    inequality), so a subtree whose partial sum, plus the least its
+    remaining columns can add, plus those fixed terms, exceeds the best
+    spin norm found so far holds no minimizer.  It is cut, and its
+    K-types are counted exactly by _count_columns instead of listed, so
+    the count covers the whole region."""
     if fam.kind == "A":
         raise ValueError(
             "no spin-norm scan for %s: the family's K-types are not catalogued"
@@ -126,65 +145,8 @@ def spin_lkt_unipotent(fam, bound=None):
             raise ValueError("bound must be nonnegative")
         complete = bound >= cap
         cap, limit = bound, None
-    best, minimizers, scanned = _scan(fam, cap, limit)
-    if best is None:
-        raise ValueError("bound %s leaves no K-types to scan" % (bound,))
-    if best < target:
-        raise RuntimeError(
-            "spin norm fell below ||2 lambda|| for %s: scan inconsistency" % (fam,)
-        )
-    nonzero = best == target
-    minimizers = [KType(HalfIntVec(hw), datum) for hw in minimizers]
-    if nonzero and len(minimizers) > 1:
-        raise RuntimeError(
-            "spin-norm tie on the floor for %s: %s"
-            % (fam, ", ".join(str(m) for m in minimizers))
-        )
-    # the even/odd selection rule (none for B, where every member has
-    # cohomology): a C/D member carries cohomology exactly when its size,
-    # n for C and a for D, has its K-types' coordinate-sum parity
-    rule = None if fam.parity is None else (
-        (fam.n if datum.family == "C" else fam.a) % 2 == fam.parity
-    )
-    if complete and rule is not None and rule != nonzero:
-        raise RuntimeError(
-            "even/odd selection rule disagrees with the scan for %s" % (fam,)
-        )
-    checks = {
-        "min_spin_norm_sq_x4": best,
-        "two_lambda_norm_sq_x4": target,
-        "coordinate_bound": cap,
-        "candidates": scanned,
-        "complete": complete,
-    }
-    if rule is not None:
-        checks["parity_rule_nonzero"] = rule
-    if not nonzero:
-        return DiracResult(False, None, None, tuple((m, 1) for m in minimizers), checks)
-    tau = KType(dominant_rep(tl, datum) - rho(datum), datum)
-    return DiracResult(
-        True, tau, 2 ** (datum.rank // 2), ((minimizers[0], 1),), checks
-    )
-
-
-@lru_cache(maxsize=256)
-def _scan(fam, cap, limit):
-    """(minimum 4*spin norm, the minimizers' doubled highest weights in
-    (norm, hw) order, number of K-types covered) over the family's
-    K-types with coordinates at most cap and, unless limit is None,
-    norm_sq_x4 at most limit.
-
-    The columns are walked depth first, carrying the partial
-    4*||eta - rho||^2, which splits by column (the padding zeros add a
-    fixed sum of rho_i^2).  Since {eta - rho} and rho are both dominant,
-    ||{eta - rho} + rho||^2 >= ||eta - rho||^2 + ||rho||^2 (the Dirac
-    inequality), so a subtree whose partial sum, plus the least its
-    remaining columns can add, plus those fixed terms, exceeds the best
-    spin norm found so far holds no minimizer.  It is cut, and its
-    K-types are counted exactly by _count_columns instead of listed, so
-    the count covers the whole region."""
     length, pad, weight, parity = _shape(fam)
-    family, r = fam.datum.family, rho(fam.datum).doubled
+    family, r = datum.family, rho(datum).doubled
     room = weight * length * cap * cap if limit is None else limit // 4
     # cost[j][x]: what column j adds to 4*||eta - rho||^2 when it is x,
     # sum over its coordinates c of (2x - c)^2
@@ -231,8 +193,44 @@ def _scan(fam, cap, limit):
                 walk(j + 1, x, rest, p, odd ^ (x & 1), head + (2 * x,) * weight)
 
     walk(0, cap, room, 0, 0, ())
+    if best is None:
+        raise ValueError("bound %s leaves no K-types to scan" % (bound,))
+    if best < target:
+        raise RuntimeError(
+            "spin norm fell below ||2 lambda|| for %s: scan inconsistency" % (fam,)
+        )
+    nonzero = best == target
     minimizers.sort(key=lambda hw: (sum(c * c for c in hw), hw))
-    return best, tuple(minimizers), covered
+    minimizers = [KType(HalfIntVec(hw), datum) for hw in minimizers]
+    if nonzero and len(minimizers) > 1:
+        raise RuntimeError(
+            "spin-norm tie on the floor for %s: %s"
+            % (fam, ", ".join(str(m) for m in minimizers))
+        )
+    # the even/odd selection rule (none for B, where every member has
+    # cohomology): a C/D member carries cohomology exactly when its size,
+    # n for C and a for D, has its K-types' coordinate-sum parity
+    rule = None if fam.parity is None else (
+        (fam.n if family == "C" else fam.a) % 2 == fam.parity
+    )
+    if complete and rule is not None and rule != nonzero:
+        raise RuntimeError(
+            "even/odd selection rule disagrees with the scan for %s" % (fam,)
+        )
+    checks = {
+        "min_spin_norm_sq_x4": best,
+        "two_lambda_norm_sq_x4": target,
+        "coordinate_bound": cap,
+        "candidates": covered,
+        "complete": complete,
+    }
+    if rule is not None:
+        checks["parity_rule_nonzero"] = rule
+    tau = KType(tl - rho(datum), datum)  # tl is dominant already
+    mult = 2 ** (datum.rank // 2) if nonzero else None
+    res = DiracResult(nonzero, tau if nonzero else None, mult,
+                      tuple((m, 1) for m in minimizers), checks)
+    return res, tau
 
 
 def _count_columns(length, top, room, weight, parity, memo):
@@ -273,15 +271,13 @@ def hd_multiplicity(fam, via_tensor=False):
     V(2 lambda - rho') (x) V(rho) when that module is no larger than the
     number of minimizers, else one V(rho) engine query per minimizer.
     """
-    res = spin_lkt_unipotent(fam)
+    res, tau = _scan(fam, None)
     factor = 2 ** (fam.datum.rank // 2)
     by_count = factor * (len(res.spin_lkts) if res.nonzero else 0)
     if not via_tensor:
         return by_count
-    datum = fam.datum
-    tau_hw = dominant_rep(two_lambda(fam), datum) - rho(datum)
     etas = [kt.hw for kt, _ in res.spin_lkts]
-    by_tensor = factor * sum(_rho_tensor_multiplicities(etas, tau_hw, datum))
+    by_tensor = factor * sum(_rho_tensor_multiplicities(etas, tau.hw, fam.datum))
     if by_tensor != by_count:
         raise RuntimeError(
             "multiplicity paths disagree for %s: tensor gives %d, count gives %d"
@@ -311,23 +307,22 @@ def parity_vanishing(fam, bound):
     """
     if fam.parity is None:
         raise ValueError("parity vanishing only applies to the C/D families")
-    res = spin_lkt_unipotent(fam)
+    res, tau = _scan(fam, None)
     if res.nonzero:
         raise ValueError(
             "%s has nonzero Dirac cohomology; nothing vanishes" % (fam,)
         )
     datum = fam.datum
     r = rho(datum)
-    tau_hw = dominant_rep(two_lambda(fam), datum) - r
     etas = [eta.hw for eta in kspectrum(fam, bound)]
     if not etas:
         raise ValueError("bound %s leaves no K-types to test" % (bound,))
     # doubled-coordinate sums mod 4 stand in for ordinary sums mod 2
-    tau_class = sum(tau_hw.doubled) % 4
+    tau_class = sum(tau.hw.doubled) % 4
     parity_ok = all(
         (sum(eta.doubled) + sum(r.doubled)) % 4 != tau_class for eta in etas
     )
-    tensor_zero = not any(_rho_tensor_multiplicities(etas, tau_hw, datum))
+    tensor_zero = not any(_rho_tensor_multiplicities(etas, tau.hw, datum))
     if parity_ok and not tensor_zero:
         raise RuntimeError(
             "parity argument and tensor computation disagree for %s" % (fam,)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diracdual.weights import HalfIntVec, RootDatum, dominant_rep, norm_sq_x4, rho, vec
-from diracdual import characters
+from diracdual import characters, cli, dirac, spectrum
 from diracdual.characters import KType, RhoTensorEngine, rho_tensor_engine
 from diracdual.spectrum import (
     UnipotentFamily,
@@ -238,6 +238,87 @@ def test_results_do_not_share_checks():
     first = spin_lkt_unipotent(f)
     first.checks["candidates"] = -1
     assert spin_lkt_unipotent(f).checks["candidates"] == 4
+    # the answer is derived once and shared: a caller's edits reach no
+    # other reader of it
+    for f in (fam("C_even", 2), fam("C_odd", 2)):
+        fresh = spin_lkt_unipotent(f).as_dict()
+        hd = hd_multiplicity(f, via_tensor=True)
+        pv = f.kind == "C_odd" and parity_vanishing(f, 4)
+        mine = spin_lkt_unipotent(f)
+        mine.checks.clear()
+        mine.checks["complete"] = "edited"
+        assert spin_lkt_unipotent(f).as_dict() == fresh, str(f)
+        assert hd_multiplicity(f, via_tensor=True) == hd, str(f)
+        assert (f.kind == "C_odd" and parity_vanishing(f, 4)) == pv, str(f)
+    # tau is kept for the vanishing family, but only the scan reads it
+    f = fam("C_odd", 2)
+    assert spin_lkt_unipotent(f).tau is None
+    assert str(_scan(f, None)[1].hw) == "1,0"
+
+
+@pytest.fixture
+def fresh_scans():
+    _scan.cache_clear()
+    yield
+    _scan.cache_clear()
+
+
+def _first_ktype_on_floor(f):
+    """A spin norm that puts the first K-type the walk meets on the
+    floor ||2 lambda||^2 and leaves the others alone."""
+    floor = norm_sq_x4(two_lambda(f))
+    spin_norm, first = dirac._spin_norm_sq_x4, []
+
+    def fake(hw, family, r):
+        first.append(hw)
+        return floor if hw == first[0] else spin_norm(hw, family, r)
+
+    return fake
+
+
+@pytest.mark.parametrize(
+    "f, fake, message",
+    [
+        (fam("C_even", 2), lambda f: lambda *args: 0, "spin norm fell below"),
+        (
+            fam("C_even", 2),
+            lambda f: lambda *args: norm_sq_x4(two_lambda(f)),
+            "tie on the floor",
+        ),
+        (fam("D_even", 1, 1), _first_ktype_on_floor, "even/odd selection rule disagrees"),
+    ],
+)
+def test_scan_postconditions_raise(f, fake, message, monkeypatch, capsys, fresh_scans):
+    # each check runs once per cache fill; an exception is not cached, so
+    # it is raised again on every call, and the CLI reports a bug
+    monkeypatch.setattr(dirac, "_spin_norm_sq_x4", fake(f))
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match=message):
+            spin_lkt_unipotent(f)
+    argv = ["dirac", "--family", f.kind]
+    argv += ["--n", str(f.n)] if f.kind.startswith("C") else ["--a", str(f.a), "--b", str(f.b)]
+    assert cli.main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_each_family_is_derived_once(monkeypatch, fresh_scans):
+    # the scan, the tensor count and the parity certificate share one
+    # derivation of 2 lambda, the floor, tau and the minimizers
+    calls = []
+    zh_param = spectrum.zh_param
+
+    def counted(f):
+        calls.append(f)
+        return zh_param(f)
+
+    monkeypatch.setattr(spectrum, "zh_param", counted)
+    for repeat in (False, True):
+        for f in (fam("D_even", 3, 3), fam("C_odd", 2)):
+            calls.clear()
+            spin_lkt_unipotent(f)
+            assert hd_multiplicity(f, via_tensor=True) == 0
+            assert parity_vanishing(f, 4)
+            assert len(calls) <= (0 if repeat else 2), (str(f), repeat)
 
 
 def test_rank_seven_families_complete():
@@ -471,6 +552,20 @@ def test_hd_multiplicity_two_paths():
     assert hd_multiplicity(fam("B", 1, 1), via_tensor=True) == 2
     assert hd_multiplicity(fam("C_odd", 2), via_tensor=True) == 0
     assert hd_multiplicity(fam("D_even", 2, 3), via_tensor=True) == 4
+
+
+def test_engines_are_built_once():
+    # the catalogue's vanishing families and spin-LKTs use more engines
+    # than a small bounded cache held; a second pass must build none
+    rho_tensor_engine.cache_clear()
+    misses = []
+    for _ in range(2):
+        for f in _all_families(6, 6):
+            hd_multiplicity(f, via_tensor=True)
+            if not spin_lkt_unipotent(f).nonzero:
+                parity_vanishing(f, 4)
+        misses.append(rho_tensor_engine.cache_info().misses)
+    assert misses[0] > 8 and misses[1] == misses[0], misses
 
 
 def test_tau_is_two_lambda_minus_rho():
