@@ -6,6 +6,14 @@ codes: 0 on success, 2 when the input violates an operation's
 precondition (the message names the condition), 1 on internal errors.
 The ``fixtures`` subcommand replays the recorded signature tables and
 exits 0 only when every check passes.
+
+A call is mostly import, so this module loads only :mod:`weights` and
+each handler imports what it runs at the top of its body: ``rho`` needs
+nothing more; ``dim``, ``tensor`` and ``prv`` load ``characters``;
+``catalog`` loads ``unipotent``; ``spectrum`` loads ``spectrum``;
+``spin-norm``, ``spin-lkt``, ``dirac`` and ``dirac-induced`` load
+``dirac``; ``unitarity`` and ``fixtures`` load ``unitarity`` (each with
+the modules those import).
 """
 
 import argparse
@@ -16,18 +24,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .weights import HalfIntVec, RootDatum, ZhParam, rho
-from .characters import KType, dim, prv_component, tensor_decompose
-from .unipotent import (
-    component_group_order,
-    enumerate_parameters,
-    infinitesimal_character,
-    is_stably_trivial,
-    is_triangular,
-    validate,
-)
-from .spectrum import KINDS, UnipotentFamily, kspectrum, two_lambda
-from .unitarity import full_unitarity, spherical_unitarity
-from .dirac import dirac_induced, spin_lkt_unipotent, spin_norm_sq_x4
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -54,6 +50,8 @@ def _datum(args, *weights):
 
 
 def _family(args):
+    from .spectrum import UnipotentFamily
+
     return UnipotentFamily(
         args.family, a=args.a or 0, b=args.b or 0, n=args.n or 0
     )
@@ -81,6 +79,8 @@ def _parse_levi(text):
 
 def _parse_core(text):
     """UnipotentFamily from "C_even:2" or "B:1,2" style strings."""
+    from .spectrum import KINDS, UnipotentFamily
+
     if ":" not in text:
         raise ValueError(
             "core must look like KIND:n or KIND:a,b (got %r)" % (text,)
@@ -126,6 +126,8 @@ def cmd_rho(args):
 
 
 def cmd_dim(args):
+    from .characters import KType
+
     hw = HalfIntVec.parse(args.hw)
     datum = _datum(args, hw)
     kt = KType(hw, datum)
@@ -134,6 +136,8 @@ def cmd_dim(args):
 
 
 def cmd_tensor(args):
+    from .characters import KType, tensor_decompose
+
     a_hw = HalfIntVec.parse(args.a)
     b_hw = HalfIntVec.parse(args.b)
     datum = _datum(args, a_hw, b_hw)
@@ -155,6 +159,8 @@ def cmd_tensor(args):
 
 
 def cmd_prv(args):
+    from .characters import KType, prv_component
+
     a_hw = HalfIntVec.parse(args.a)
     b_hw = HalfIntVec.parse(args.b)
     datum = _datum(args, a_hw, b_hw)
@@ -171,6 +177,9 @@ def cmd_prv(args):
 
 
 def cmd_spin_norm(args):
+    from .characters import KType
+    from .dirac import spin_norm_sq_x4
+
     eta = HalfIntVec.parse(args.eta)
     datum = _datum(args, eta)
     x4 = spin_norm_sq_x4(KType(eta, datum))
@@ -186,7 +195,22 @@ def cmd_spin_norm(args):
 
 
 def cmd_catalog(args):
-    rows = tuple(int(p) for p in args.partition.split(","))
+    from .unipotent import (
+        component_group_order,
+        enumerate_parameters,
+        infinitesimal_character,
+        is_stably_trivial,
+        is_triangular,
+        validate,
+    )
+
+    parts = args.partition.split(",")
+    if not all(p.strip() for p in parts):
+        raise ValueError(
+            "partition must be comma-separated integers, e.g. 2,2,2 (got %r)"
+            % (args.partition,)
+        )
+    rows = tuple(int(p) for p in parts)
     if not rows or any(r <= 0 for r in rows):
         raise ValueError("partition parts must be positive")
     if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
@@ -245,6 +269,8 @@ def cmd_catalog(args):
 
 
 def cmd_spectrum(args):
+    from .spectrum import kspectrum, two_lambda
+
     fam = _family(args)
     kts = list(kspectrum(fam, args.bound))
     record = {
@@ -265,6 +291,8 @@ def cmd_spectrum(args):
 
 
 def cmd_spin_lkt(args):
+    from .dirac import spin_lkt_unipotent
+
     fam = _family(args)
     res = spin_lkt_unipotent(fam, args.bound)
     record = {
@@ -293,6 +321,8 @@ def cmd_spin_lkt(args):
 
 
 def cmd_dirac(args):
+    from .dirac import spin_lkt_unipotent
+
     fam = _family(args)
     res = spin_lkt_unipotent(fam, args.bound)
     record = res.as_dict()
@@ -303,6 +333,8 @@ def cmd_dirac(args):
 
 
 def cmd_dirac_induced(args):
+    from .dirac import dirac_induced
+
     blocks = _parse_levi(args.levi)
     core = _parse_core(args.core)
     xi = HalfIntVec.parse(args.xi) if args.xi else HalfIntVec(())
@@ -318,6 +350,8 @@ def cmd_dirac_induced(args):
 
 
 def cmd_unitarity(args):
+    from .unitarity import full_unitarity, spherical_unitarity
+
     if args.lam is not None:
         if args.lambda_l is not None or args.lambda_r is not None:
             raise ValueError("give either --lambda or --lambda-l/--lambda-r, not both")
@@ -376,6 +410,9 @@ def _sig_definite(sigs):
 
 
 def _run_fixture(fx):
+    from .characters import KType
+    from .unitarity import full_unitarity, spherical_unitarity
+
     datum = fx["datum"]
     out = {"name": fx["name"], "group": str(datum)}
     dims_ok = True

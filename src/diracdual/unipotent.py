@@ -14,7 +14,7 @@ pair of strings, one for each side of the parameter (sign -1).
 from dataclasses import dataclass
 import itertools
 
-from .weights import HalfIntVec, RootDatum, ZhParam, dominant_rep
+from .weights import HalfIntVec, RootDatum, ZhParam, _canonical_pairs, dominant_rep
 
 FAMILY_RANK = {
     "A": lambda n: n,
@@ -248,41 +248,6 @@ def component_group_order(orbit):
         return 2 ** len({r for r in orbit.rows if r % 2 == 0})
     odd = len({r for r in orbit.rows if r % 2 == 1})
     return 2 ** max(odd - 1, 0)
-
-
-def _canonical_pairs(lL, lR, family):
-    """Simultaneous Weyl action making the left side dominant, with a
-    deterministic tie-break on the right side."""
-    pairs = [list(p) for p in zip(lL, lR)]
-    if family == "A":
-        pairs.sort(key=lambda p: (-p[0], -p[1]))
-        return pairs
-    flips = 0
-    for p in pairs:
-        if p[0] < 0:
-            p[0], p[1] = -p[0], -p[1]
-            flips += 1
-        elif p[0] == 0 and p[1] < 0 and family != "D":
-            p[1] = -p[1]
-    if family == "D":
-        zero_ps = [p for p in pairs if p[0] == 0]
-        for p in zero_ps:
-            if p[1] < 0:
-                p[1] = -p[1]
-                flips += 1
-        if flips % 2 == 1:
-            if zero_ps:
-                # flip back the zero-left pair with the smallest right
-                # value; only the right sign is visible
-                p = min(zero_ps, key=lambda p: abs(p[1]))
-                p[1] = -p[1]
-            else:
-                # keep one genuine sign: put it on the smallest left
-                # coordinate so the left side stays dominant
-                p = min(pairs, key=lambda p: (p[0], p[1]))
-                p[0], p[1] = -p[0], -p[1]
-    pairs.sort(key=lambda p: (-abs(p[0]), p[0] < 0, -p[1]))
-    return pairs
 
 
 def canonical_param(lL, lR, datum):

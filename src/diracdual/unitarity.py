@@ -26,12 +26,12 @@ from .weights import (
     HalfIntVec,
     RootDatum,
     ZhParam,
+    _canonical_pairs,
     dominant_rep,
     is_dominant,
     is_regular,
 )
 from .characters import KType
-from .unipotent import _canonical_pairs
 
 __all__ = [
     "StringDecomp",

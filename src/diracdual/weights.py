@@ -52,10 +52,13 @@ class HalfIntVec:
 
     @staticmethod
     def parse(text):
-        """Parse comma-separated rationals, e.g. ``"5/2,3/2,1/2"``."""
-        parts = [p.strip() for p in text.split(",") if p.strip() != ""]
-        if not parts:
+        """Parse comma-separated rationals, e.g. ``"5/2,3/2,1/2"``.  Spaces
+        around an entry are allowed; an empty entry is an error."""
+        parts = [p.strip() for p in text.split(",")]
+        if not any(parts):
             raise ValueError("empty weight string")
+        if not all(parts):
+            raise ValueError("empty coordinate in weight %r" % (text,))
         return HalfIntVec.from_halves(Fraction(p) for p in parts)
 
     # -- arithmetic ------------------------------------------------------
@@ -203,6 +206,42 @@ def dominant_doubled(d, family):
     if family == "D" and mags[-1] and sum(c < 0 for c in d) % 2:
         mags[-1] = -mags[-1]
     return mags
+
+
+def _canonical_pairs(lL, lR, family):
+    """The Weyl canonical form of a pair of doubled weights: the
+    simultaneous Weyl action making the left side dominant, with a
+    deterministic tie-break on the right side, as a list of [l, r]."""
+    pairs = [list(p) for p in zip(lL, lR)]
+    if family == "A":
+        pairs.sort(key=lambda p: (-p[0], -p[1]))
+        return pairs
+    flips = 0
+    for p in pairs:
+        if p[0] < 0:
+            p[0], p[1] = -p[0], -p[1]
+            flips += 1
+        elif p[0] == 0 and p[1] < 0 and family != "D":
+            p[1] = -p[1]
+    if family == "D":
+        zero_ps = [p for p in pairs if p[0] == 0]
+        for p in zero_ps:
+            if p[1] < 0:
+                p[1] = -p[1]
+                flips += 1
+        if flips % 2 == 1:
+            if zero_ps:
+                # flip back the zero-left pair with the smallest right
+                # value; only the right sign is visible
+                p = min(zero_ps, key=lambda p: abs(p[1]))
+                p[1] = -p[1]
+            else:
+                # keep one genuine sign: put it on the smallest left
+                # coordinate so the left side stays dominant
+                p = min(pairs, key=lambda p: (p[0], p[1]))
+                p[0], p[1] = -p[0], -p[1]
+    pairs.sort(key=lambda p: (-abs(p[0]), p[0] < 0, -p[1]))
+    return pairs
 
 
 def is_dominant(v, datum):

@@ -1,10 +1,12 @@
 """The command-line adapter: exit codes, JSON stability, fixtures."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
-from diracdual import cli
+from diracdual import characters
 from diracdual.characters import Decomposition
 from diracdual.cli import main
 from diracdual.weights import HalfIntVec
@@ -92,13 +94,13 @@ def test_tensor_json_round_trips(capsys):
 
 
 def test_tensor_dim_check_fails_loudly(capsys, monkeypatch):
-    real = cli.tensor_decompose
+    real = characters.tensor_decompose
 
     def lossy(a, b):
         dec = real(a, b)
         return Decomposition(dec.terms[1:])
 
-    monkeypatch.setattr(cli, "tensor_decompose", lossy)
+    monkeypatch.setattr(characters, "tensor_decompose", lossy)
     code, out, err = run(
         capsys, "tensor", "--type", "C", "--rank", "2", "--a", "1,0", "--b", "1,0"
     )
@@ -189,11 +191,32 @@ def test_precondition_violations_exit_2(capsys):
         # the second weight's rank clashes with the first's
         ("tensor", "--type", "C", "--a", "1,0", "--b", "1,0,0"),
         ("prv", "--type", "C", "--a", "1,0", "--b", "1,0,0"),
+        # an empty coordinate is not dropped
+        ("dim", "--type", "B", "--hw", "2,,1"),
+        ("dim", "--type", "B", "--hw", "2,1,"),
+        ("dim", "--type", "B", "--hw", ",2,1"),
+        ("unitarity", "--type", "B", "--lambda", "5/2,,1/2"),
+        ("dirac-induced", "--levi", "gl2", "--core", "C_even:2",
+         "--xi", "-6,,-6"),
+        ("catalog", "--type", "C", "--partition", "2,,2"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+
+
+def test_empty_entries(capsys):
+    code, _, err = run(capsys, "catalog", "--type", "C", "--partition", "2,,2")
+    assert code == 2
+    assert "comma-separated integers" in err and "int()" not in err
+    # spaces around an entry are fine, and an empty --xi means no xi
+    code, out, _ = run(capsys, "dim", "--type", "B", "--hw", " 2 , 1 ")
+    assert (code, out.strip()) == (0, "35")
+    plain = run_json(capsys, "dirac-induced", "--levi", "g", "--core", "C_even:2")
+    assert run_json(
+        capsys, "dirac-induced", "--levi", "g", "--core", "C_even:2", "--xi", ""
+    ) == plain
 
 
 def test_malformed_block_error_reads_as_half_integers(capsys):
@@ -242,6 +265,63 @@ def test_explicit_bound_beats_env(capsys, monkeypatch):
     )
     assert rec["checks"]["coordinate_bound"] == 3
     assert rec["checks"]["complete"] is False
+
+
+# -- imports ---------------------------------------------------------------------
+
+# the modules each subcommand loads, beyond diracdual, weights and cli
+_CHARS = {"characters"}
+_DIRAC = {"characters", "spectrum", "dirac"}
+_UNIT = {"characters", "unitarity"}
+MODULES = [
+    (None, set()),
+    (["rho", "--type", "B", "--rank", "3"], set()),
+    (["dim", "--type", "B", "--hw", "2,1"], _CHARS),
+    (["tensor", "--type", "C", "--a", "1,0", "--b", "1,0"], _CHARS),
+    (["prv", "--type", "C", "--a", "1,0", "--b", "1,0"], _CHARS),
+    (["spin-norm", "--type", "C", "--eta", "1,0"], _DIRAC),
+    (["catalog", "--type", "C", "--partition", "2,2,2"], {"unipotent"}),
+    (["spectrum", "--family", "C_even", "--n", "2", "--bound", "2"],
+     {"characters", "spectrum"}),
+    (["spin-lkt", "--family", "C_even", "--n", "2"], _DIRAC),
+    (["dirac", "--family", "C_even", "--n", "2"], _DIRAC),
+    (["dirac-induced", "--levi", "gl1", "--core", "C_odd:2", "--xi", "5"], _DIRAC),
+    (["unitarity", "--type", "B", "--lambda", "9/2,7/2,1/2"], _UNIT),
+    (["unitarity", "--type", "C", "--lambda-l", "1/2,-2", "--lambda-r", "-1/2,-2"],
+     _UNIT),
+    (["fixtures"], _UNIT),
+]
+
+
+def _modules_loaded(argv):
+    """Exit code and diracdual modules after one call in a fresh interpreter."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from diracdual import cli\n"
+        "argv = %r\n"
+        "code = None\n"
+        "if argv is not None:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules\n"
+        "                               if m.split('.')[0] == 'diracdual')]))\n"
+        % (argv,)
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv,extra", MODULES, ids=[a[0] if a else "import" for a, _ in MODULES]
+)
+def test_each_call_imports_only_its_modules(argv, extra):
+    code, loaded = _modules_loaded(argv)
+    assert code in (None, 0)
+    want = {"diracdual", "diracdual.weights", "diracdual.cli"}
+    want |= {"diracdual." + m for m in extra}
+    assert set(loaded) == want
 
 
 # -- fixtures ---------------------------------------------------------------------

@@ -11,6 +11,7 @@ from diracdual.weights import (
     HalfIntVec,
     RootDatum,
     ZhParam,
+    _canonical_pairs,
     dominant_rep,
     is_dominant,
     is_regular,
@@ -26,7 +27,7 @@ from diracdual.unitarity import (
     full_unitarity,
     spherical_unitarity,
 )
-from diracdual.unipotent import _canonical_pairs, validate, infinitesimal_character
+from diracdual.unipotent import validate, infinitesimal_character
 
 
 def v(s):

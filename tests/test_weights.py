@@ -36,6 +36,7 @@ def test_from_halves_and_parse():
     v = HalfIntVec.from_halves([Fraction(5, 2), 1, Fraction(-3, 2)])
     assert v.doubled == (5, 2, -3)
     assert HalfIntVec.parse("5/2,1,-3/2") == v
+    assert HalfIntVec.parse(" 5/2 , 1,-3/2 ") == v
     assert str(v) == "5/2,1,-3/2"
 
 
@@ -45,8 +46,16 @@ def test_from_halves_rejects_thirds():
 
 
 def test_parse_rejects_empty():
-    with pytest.raises(ValueError):
-        HalfIntVec.parse("")
+    for text in ("", " ", ","):
+        with pytest.raises(ValueError, match="empty weight string"):
+            HalfIntVec.parse(text)
+
+
+def test_parse_rejects_an_empty_coordinate():
+    for text in ("2,,1", "2,1,", ",2,1", "2, ,1"):
+        with pytest.raises(ValueError, match="empty coordinate") as exc:
+            HalfIntVec.parse(text)
+        assert repr(text) in str(exc.value)
 
 
 @given(hv())
