@@ -1,7 +1,7 @@
 """Finite-dimensional module arithmetic for the compact form.
 
-Dimensions come from the Weyl dimension formula, dominant weight
-multiplicities from Freudenthal's recursion (taken over the dominant
+K-types and their Weyl dimensions live in :mod:`weights`.  Dominant
+weight multiplicities come from Freudenthal's recursion (taken over the dominant
 weights in order of their distance from the highest weight, no search),
 tensor products from the alternating-sum rule (Klimyk: a pruned walk
 over the Weyl orbit of each dominant weight of the smaller factor, which
@@ -20,7 +20,6 @@ instead (``_rho_tensor_multiplicities``).
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 import itertools
 import math
@@ -28,87 +27,14 @@ import operator
 
 from .weights import (
     HalfIntVec,
-    RootDatum,
+    KType,
     _rho_doubled,
+    dim,
     dominant_doubled,
     dominant_rep,
-    is_dominant,
     nspan_doubled,
     w0_action,
 )
-
-
-@dataclass(frozen=True)
-class KType:
-    """An irreducible module of K (or its double cover), by highest weight."""
-
-    hw: HalfIntVec
-    datum: RootDatum
-
-    def __post_init__(self):
-        if not is_dominant(self.hw, self.datum):
-            raise ValueError("%s is not dominant for %s" % (self.hw, self.datum))
-        parities = {c % 2 for c in self.hw.doubled}
-        if len(parities) > 1:
-            raise ValueError("mixed integral/half-integral coordinates")
-        if parities == {1} and self.datum.family not in ("B", "D"):
-            raise ValueError(
-                "half-integral K-types only exist for the B/D double covers"
-            )
-
-    @property
-    def dim(self):
-        return dim(self)
-
-    def __str__(self):
-        return "V(%s)" % (self.hw,)
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """A finite multiset of K-types with positive multiplicities."""
-
-    terms: tuple  # sorted tuple of (KType, multiplicity)
-
-    @staticmethod
-    def from_dict(d):
-        items = tuple(
-            sorted(d.items(), key=lambda kv: kv[0].hw.doubled, reverse=True)
-        )
-        return Decomposition(items)
-
-    def multiplicity(self, kt):
-        for t, m in self.terms:
-            if t == kt:
-                return m
-        return 0
-
-    def as_dict(self):
-        return dict(self.terms)
-
-    def total_dim(self):
-        return sum(m * dim(t) for t, m in self.terms)
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
-
-
-def dim(kt):
-    """Weyl dimension formula, exact."""
-    datum = kt.datum
-    r = _rho_doubled(datum.family, datum.rank)
-    shifted = [h + c for h, c in zip(kt.hw.doubled, r)]
-    num = den = 1
-    for alpha in datum.positive_roots():
-        num *= sum(map(operator.mul, shifted, alpha))
-        den *= sum(map(operator.mul, r, alpha))
-    q, rem = divmod(num, den)
-    if rem or q <= 0:
-        raise RuntimeError("dimension formula must divide exactly")
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +99,8 @@ def _dominant_weight_table(datum, lam):
 
 
 def tensor_decompose(a, b):
-    """Decompose V(a) (x) V(b) into K-types with multiplicities.
+    """Decompose V(a) (x) V(b) into a tuple of (KType, multiplicity)
+    pairs, highest weights descending.
 
     Klimyk's rule: each weight nu of the smaller factor V(b) adds
     det(w) mult(nu) at w(a + rho + nu) - rho, w sorting t = a + rho + nu
@@ -233,9 +160,9 @@ def tensor_decompose(a, b):
     del walk  # it refers to itself: free it now, not at the next gc
     if min(acc.values(), default=0) < 0:
         raise RuntimeError("negative net multiplicity")
-    # subtracting rho keeps the keys' order, which is Decomposition's
-    return Decomposition(tuple((KType(HalfIntVec(tuple(map(operator.sub, key, r))), datum), m)
-                               for key, m in sorted(acc.items(), reverse=True) if m))
+    # subtracting rho keeps the keys' order
+    return tuple((KType(HalfIntVec(tuple(map(operator.sub, key, r))), datum), m)
+                 for key, m in sorted(acc.items(), reverse=True) if m)
 
 
 def prv_component(a, b):

@@ -8,12 +8,12 @@ The ``fixtures`` subcommand replays the recorded signature tables and
 exits 0 only when every check passes.
 
 A call is mostly import, so this module loads only :mod:`weights` and
-each handler imports what it runs at the top of its body: ``rho`` needs
-nothing more; ``dim``, ``tensor`` and ``prv`` load ``characters``;
+each handler imports what it runs at the top of its body: ``rho`` and
+``dim`` need nothing more; ``tensor`` and ``prv`` load ``characters``;
 ``catalog`` loads ``unipotent``; ``spectrum`` loads ``spectrum``;
 ``spin-norm``, ``spin-lkt``, ``dirac`` and ``dirac-induced`` load
-``dirac``; ``unitarity`` and ``fixtures`` load ``unitarity`` (each with
-the modules those import).
+``dirac`` (with ``characters`` and ``spectrum``); ``unitarity`` and
+``fixtures`` load ``unitarity``.
 """
 
 import argparse
@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .weights import HalfIntVec, RootDatum, ZhParam, rho
+from .weights import HalfIntVec, KType, RootDatum, ZhParam, rho
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -78,8 +78,9 @@ def _parse_levi(text):
 
 
 def _parse_core(text):
-    """UnipotentFamily from "C_even:2" or "B:1,2" style strings."""
-    from .spectrum import KINDS, UnipotentFamily
+    """UnipotentFamily from "C_even:2" or "B:1,2" style strings: one size
+    for the kinds whose root system is C, two for the rest."""
+    from .spectrum import _KINDS, UnipotentFamily
 
     if ":" not in text:
         raise ValueError(
@@ -87,17 +88,18 @@ def _parse_core(text):
         )
     kind, _, rest = text.partition(":")
     kind = kind.strip()
-    if kind not in KINDS:
+    if kind not in _KINDS:
         raise ValueError("unknown family kind %r" % (kind,))
     nums = [p.strip() for p in rest.split(",") if p.strip()]
     if not all(re.fullmatch(r"-?\d+", p) for p in nums):
         raise ValueError("core sizes must be integers (got %r)" % (rest,))
     vals = [int(p) for p in nums]
-    if len(vals) == 1:
-        return UnipotentFamily(kind, n=vals[0])
-    if len(vals) == 2:
-        return UnipotentFamily(kind, a=vals[0], b=vals[1])
-    raise ValueError("core takes one size (n) or two (a,b), got %d" % len(vals))
+    sizes = ("n",) if _KINDS[kind][0] == "C" else ("a", "b")
+    if len(vals) != len(sizes):
+        raise ValueError(
+            "core %s needs %s:%s (got %r)" % (kind, kind, ",".join(sizes), text)
+        )
+    return UnipotentFamily(kind, **dict(zip(sizes, vals)))
 
 
 def _table(rows, headers):
@@ -126,8 +128,6 @@ def cmd_rho(args):
 
 
 def cmd_dim(args):
-    from .characters import KType
-
     hw = HalfIntVec.parse(args.hw)
     datum = _datum(args, hw)
     kt = KType(hw, datum)
@@ -136,7 +136,7 @@ def cmd_dim(args):
 
 
 def cmd_tensor(args):
-    from .characters import KType, tensor_decompose
+    from .characters import tensor_decompose
 
     a_hw = HalfIntVec.parse(args.a)
     b_hw = HalfIntVec.parse(args.b)
@@ -144,22 +144,23 @@ def cmd_tensor(args):
     a = KType(a_hw, datum)
     b = KType(b_hw, datum)
     dec = tensor_decompose(a, b)
-    if dec.total_dim() != a.dim * b.dim:
+    total = sum(m * kt.dim for kt, m in dec)
+    if total != a.dim * b.dim:
         raise RuntimeError("dim check failed: %d * %d != %d"
-                           % (a.dim, b.dim, dec.total_dim()))
+                           % (a.dim, b.dim, total))
     record = [
         {"hw": str(kt.hw), "mult": m, "dim": kt.dim} for kt, m in dec
     ]
     rows = [(str(kt.hw), m, kt.dim) for kt, m in dec]
     text = _table(rows, ("hw", "mult", "dim"))
     text += "\n%d terms; dim check %d * %d = %d" % (
-        len(dec), a.dim, b.dim, dec.total_dim(),
+        len(dec), a.dim, b.dim, total,
     )
     return record, text, 0
 
 
 def cmd_prv(args):
-    from .characters import KType, prv_component
+    from .characters import prv_component
 
     a_hw = HalfIntVec.parse(args.a)
     b_hw = HalfIntVec.parse(args.b)
@@ -177,7 +178,6 @@ def cmd_prv(args):
 
 
 def cmd_spin_norm(args):
-    from .characters import KType
     from .dirac import spin_norm_sq_x4
 
     eta = HalfIntVec.parse(args.eta)
@@ -204,13 +204,13 @@ def cmd_catalog(args):
         validate,
     )
 
-    parts = args.partition.split(",")
-    if not all(p.strip() for p in parts):
+    try:
+        rows = tuple(int(p) for p in args.partition.split(","))
+    except ValueError:
         raise ValueError(
             "partition must be comma-separated integers, e.g. 2,2,2 (got %r)"
             % (args.partition,)
-        )
-    rows = tuple(int(p) for p in parts)
+        ) from None
     if not rows or any(r <= 0 for r in rows):
         raise ValueError("partition parts must be positive")
     if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
@@ -410,7 +410,6 @@ def _sig_definite(sigs):
 
 
 def _run_fixture(fx):
-    from .characters import KType
     from .unitarity import full_unitarity, spherical_unitarity
 
     datum = fx["datum"]

@@ -22,6 +22,7 @@ from operator import add, mul, sub
 
 from .weights import (
     HalfIntVec,
+    KType,
     RootDatum,
     dominant_doubled,
     dominant_rep,
@@ -29,7 +30,7 @@ from .weights import (
     norm_sq_x4,
     rho,
 )
-from .characters import KType, _rho_tensor_multiplicities
+from .characters import _rho_tensor_multiplicities
 from .spectrum import _shape, kspectrum, search_norm_bound_x4, two_lambda
 
 

@@ -21,12 +21,13 @@ from math import isqrt
 
 from .weights import (
     HalfIntVec,
+    KType,
     RootDatum,
     ZhParam,
     dominant_rep,
     norm_sq_x4,
+    rho,
 )
-from .characters import KType
 
 # kind -> (root system, coordinate-sum parity of the K-types or None);
 # the C kinds are sized by n, the others by (a, b)
@@ -176,6 +177,6 @@ def search_norm_bound_x4(fam):
     """
     tl = two_lambda(fam)
     a = norm_sq_x4(tl)
-    b = 4 * norm_sq_x4(fam.datum.rho)
+    b = 4 * norm_sq_x4(rho(fam.datum))
     # (sqrt(a) + sqrt(b))^2 = a + b + 2 sqrt(ab), rounded safely up
     return a + b + 2 * isqrt(a * b) + 2

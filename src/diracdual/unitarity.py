@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .weights import (
     HalfIntVec,
+    KType,
     RootDatum,
     ZhParam,
     _canonical_pairs,
@@ -31,7 +32,6 @@ from .weights import (
     is_dominant,
     is_regular,
 )
-from .characters import KType
 
 __all__ = [
     "StringDecomp",

@@ -1,4 +1,4 @@
-"""Exact weight vectors and classical root data.
+"""Exact weight vectors, classical root data, parameters and K-types.
 
 All weight coordinates live in (1/2)Z.  To keep every comparison exact
 we store *doubled* coordinates (integers equal to twice the coordinate)
@@ -18,6 +18,7 @@ e_1..e_n coordinates:
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+import operator
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -123,10 +124,6 @@ class RootDatum:
     def positive_roots(self):
         """Positive roots in ordinary (not doubled) integer coordinates."""
         return _positive_roots(self.family, self.rank)
-
-    @property
-    def rho(self):
-        return rho(self)
 
     def __str__(self):
         return "%s%d" % (self.family, self.rank)
@@ -338,6 +335,47 @@ def w0_action(v, datum):
     flipped = [-c for c in v.doubled]
     flipped[-1] = -flipped[-1]
     return HalfIntVec(tuple(flipped))
+
+
+@dataclass(frozen=True)
+class KType:
+    """An irreducible module of K (or its double cover), by highest weight."""
+
+    hw: HalfIntVec
+    datum: RootDatum
+
+    def __post_init__(self):
+        if not is_dominant(self.hw, self.datum):
+            raise ValueError("%s is not dominant for %s" % (self.hw, self.datum))
+        parities = {c % 2 for c in self.hw.doubled}
+        if len(parities) > 1:
+            raise ValueError("mixed integral/half-integral coordinates")
+        if parities == {1} and self.datum.family not in ("B", "D"):
+            raise ValueError(
+                "half-integral K-types only exist for the B/D double covers"
+            )
+
+    @property
+    def dim(self):
+        return dim(self)
+
+    def __str__(self):
+        return "V(%s)" % (self.hw,)
+
+
+def dim(kt):
+    """Weyl dimension formula, exact."""
+    datum = kt.datum
+    r = _rho_doubled(datum.family, datum.rank)
+    shifted = [h + c for h, c in zip(kt.hw.doubled, r)]
+    num = den = 1
+    for alpha in datum.positive_roots():
+        num *= sum(map(operator.mul, shifted, alpha))
+        den *= sum(map(operator.mul, r, alpha))
+    q, rem = divmod(num, den)
+    if rem or q <= 0:
+        raise RuntimeError("dimension formula must divide exactly")
+    return q
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ import sys
 import pytest
 
 from diracdual import characters
-from diracdual.characters import Decomposition
 from diracdual.cli import main
 from diracdual.weights import HalfIntVec
 
@@ -98,7 +97,7 @@ def test_tensor_dim_check_fails_loudly(capsys, monkeypatch):
 
     def lossy(a, b):
         dec = real(a, b)
-        return Decomposition(dec.terms[1:])
+        return dec[1:]
 
     monkeypatch.setattr(characters, "tensor_decompose", lossy)
     code, out, err = run(
@@ -199,6 +198,12 @@ def test_precondition_violations_exit_2(capsys):
         ("dirac-induced", "--levi", "gl2", "--core", "C_even:2",
          "--xi", "-6,,-6"),
         ("catalog", "--type", "C", "--partition", "2,,2"),
+        # a part that is not an integer
+        ("catalog", "--type", "C", "--partition", "x"),
+        ("catalog", "--type", "C", "--partition", "2,a"),
+        # the count of core sizes does not fit the kind
+        ("dirac-induced", "--levi", "g", "--core", "B:2"),
+        ("dirac-induced", "--levi", "g", "--core", "C_even:2,3"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
@@ -217,6 +222,21 @@ def test_empty_entries(capsys):
     assert run_json(
         capsys, "dirac-induced", "--levi", "g", "--core", "C_even:2", "--xi", ""
     ) == plain
+
+
+def test_malformed_sizes_name_the_expected_form(capsys):
+    for partition in ("x", "2,a"):
+        code, _, err = run(capsys, "catalog", "--type", "C", "--partition", partition)
+        assert code == 2
+        assert err.strip() == (
+            "error: partition must be comma-separated integers, e.g. 2,2,2 (got %r)"
+            % (partition,))
+    for core, form in (("B:2", "B:a,b"), ("C_even:2,3", "C_even:n"),
+                       ("D_odd:1,2,3", "D_odd:a,b"), ("C_odd:", "C_odd:n")):
+        code, _, err = run(capsys, "dirac-induced", "--levi", "g", "--core", core)
+        assert code == 2
+        assert err.strip() == "error: core %s needs %s (got %r)" % (
+            core.split(":")[0], form, core)
 
 
 def test_malformed_block_error_reads_as_half_integers(capsys):
@@ -272,17 +292,17 @@ def test_explicit_bound_beats_env(capsys, monkeypatch):
 # the modules each subcommand loads, beyond diracdual, weights and cli
 _CHARS = {"characters"}
 _DIRAC = {"characters", "spectrum", "dirac"}
-_UNIT = {"characters", "unitarity"}
+_UNIT = {"unitarity"}
 MODULES = [
     (None, set()),
     (["rho", "--type", "B", "--rank", "3"], set()),
-    (["dim", "--type", "B", "--hw", "2,1"], _CHARS),
+    (["dim", "--type", "B", "--hw", "2,1"], set()),
     (["tensor", "--type", "C", "--a", "1,0", "--b", "1,0"], _CHARS),
     (["prv", "--type", "C", "--a", "1,0", "--b", "1,0"], _CHARS),
     (["spin-norm", "--type", "C", "--eta", "1,0"], _DIRAC),
     (["catalog", "--type", "C", "--partition", "2,2,2"], {"unipotent"}),
     (["spectrum", "--family", "C_even", "--n", "2", "--bound", "2"],
-     {"characters", "spectrum"}),
+     {"spectrum"}),
     (["spin-lkt", "--family", "C_even", "--n", "2"], _DIRAC),
     (["dirac", "--family", "C_even", "--n", "2"], _DIRAC),
     (["dirac-induced", "--levi", "gl1", "--core", "C_odd:2", "--xi", "5"], _DIRAC),

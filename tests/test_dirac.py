@@ -510,9 +510,9 @@ def test_parity_vanishing_raises_on_a_dual_route_answer(monkeypatch):
     decompose = characters.tensor_decompose
 
     def with_box_ktype(a, b):
-        d = decompose(a, b).as_dict()
+        d = dict(decompose(a, b))
         d[KType(box[-1], f.datum)] = 1
-        return characters.Decomposition.from_dict(d)
+        return tuple(sorted(d.items(), key=lambda kv: kv[0].hw.doubled, reverse=True))
 
     monkeypatch.setattr(characters, "tensor_decompose", with_box_ktype)
     with pytest.raises(RuntimeError, match="disagree"):
