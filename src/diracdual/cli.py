@@ -90,16 +90,16 @@ def _parse_core(text):
     kind = kind.strip()
     if kind not in _KINDS:
         raise ValueError("unknown family kind %r" % (kind,))
-    nums = [p.strip() for p in rest.split(",") if p.strip()]
-    if not all(re.fullmatch(r"-?\d+", p) for p in nums):
+    nums = [p.strip() for p in rest.split(",")]
+    if not all(re.fullmatch(r"-?\d+", p) for p in nums if p):
         raise ValueError("core sizes must be integers (got %r)" % (rest,))
-    vals = [int(p) for p in nums]
     sizes = ("n",) if _KINDS[kind][0] == "C" else ("a", "b")
-    if len(vals) != len(sizes):
+    # an empty size is not dropped
+    if len(nums) != len(sizes) or "" in nums:
         raise ValueError(
             "core %s needs %s:%s (got %r)" % (kind, kind, ",".join(sizes), text)
         )
-    return UnipotentFamily(kind, **dict(zip(sizes, vals)))
+    return UnipotentFamily(kind, **dict(zip(sizes, map(int, nums))))
 
 
 def _table(rows, headers):

@@ -102,9 +102,9 @@ def spin_lkt_unipotent(fam, bound=None):
     Within the region, spin norms are computed only near rho: by the
     Dirac inequality ||{eta-rho}+rho||^2 >= ||eta-rho||^2 + ||rho||^2,
     so ``_scan`` cuts every branch of its column walk that cannot reach
-    the best spin norm found so far, and counts the K-types it cut
-    exactly rather than listing them.  Only the tied minimizers are
-    sorted.
+    the best spin norm found so far.  The region's K-types are counted
+    once by ``_count_columns``, apart from the walk.  Only the tied
+    minimizers are sorted.
 
     The whole answer, checks included, is derived once per family and
     bound by the cached ``_scan``, which ``hd_multiplicity`` and
@@ -127,9 +127,11 @@ def _scan(fam, bound):
     ||{eta - rho} + rho||^2 >= ||eta - rho||^2 + ||rho||^2 (the Dirac
     inequality), so a subtree whose partial sum, plus the least its
     remaining columns can add, plus those fixed terms, exceeds the best
-    spin norm found so far holds no minimizer.  It is cut, and its
-    K-types are counted exactly by _count_columns instead of listed, so
-    the count covers the whole region."""
+    spin norm found so far holds no minimizer, and is cut.  The columns
+    of a level are tried by that lower bound, least first, and best only
+    falls, so the walk stops at the first column it cuts.  The K-types
+    of the region are counted by one _count_columns call, apart from
+    the walk."""
     if fam.kind == "A":
         raise ValueError(
             "no spin-norm scan for %s: the family's K-types are not catalogued"
@@ -163,14 +165,12 @@ def _scan(fam, bound):
     floor.reverse()
     fixed = sum(c * c for c in r[weight * length :]) + sum(c * c for c in r)
     zeros = (0,) * pad
-    memo = {}
-    best, minimizers, covered = None, [], 0
+    best, minimizers = None, []
 
     def walk(j, top, left, partial, odd, head):
-        nonlocal best, minimizers, covered
+        nonlocal best, minimizers
         if j == length:
             if parity is None or odd == parity:
-                covered += 1
                 hw = head + zeros
                 s = _spin_norm_sq_x4(hw, family, r)
                 if best is None or s < best:
@@ -179,19 +179,17 @@ def _scan(fam, bound):
                     minimizers.append(hw)
             return
         below = floor[j + 1]
-        # the most promising columns first, so that best falls early
+        # the most promising columns first, so that best falls early and
+        # every column after the first one cut is cut too
         xs = sorted(
             range(min(top, isqrt(left // weight)) + 1),
             key=lambda x: cost[j][x] + below[x],
         )
         for x in xs:
             p = partial + cost[j][x]
-            rest = left - weight * x * x
             if best is not None and p + below[x] + fixed > best:
-                need = None if parity is None else parity ^ odd ^ (x & 1)
-                covered += _count_columns(length - j - 1, x, rest, weight, need, memo)
-            else:
-                walk(j + 1, x, rest, p, odd ^ (x & 1), head + (2 * x,) * weight)
+                break
+            walk(j + 1, x, left - weight * x * x, p, odd ^ (x & 1), head + (2 * x,) * weight)
 
     walk(0, cap, room, 0, 0, ())
     if best is None:
@@ -222,7 +220,7 @@ def _scan(fam, bound):
         "min_spin_norm_sq_x4": best,
         "two_lambda_norm_sq_x4": target,
         "coordinate_bound": cap,
-        "candidates": covered,
+        "candidates": _count_columns(length, cap, room, weight, parity, {}),
         "complete": complete,
     }
     if rule is not None:
@@ -238,7 +236,7 @@ def _count_columns(length, top, room, weight, parity, memo):
     """The number of weakly decreasing tuples of ``length`` integers in
     [0, top] with weight * (sum of squares) at most room and, unless
     parity is None, a sum of that parity.  ``memo`` is a dict kept for
-    one scan."""
+    one count."""
     top = min(top, isqrt(room // weight))
     if length == 0 or top == 0:
         return 0 if parity == 1 else 1

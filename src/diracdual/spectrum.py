@@ -40,8 +40,6 @@ _KINDS = {
     "A": ("A", None),
 }
 
-KINDS = tuple(_KINDS)
-
 
 @dataclass(frozen=True)
 class UnipotentFamily:
@@ -118,12 +116,26 @@ def two_lambda(fam):
 
 def kspectrum(fam, bound):
     """All K-types of the family with every coordinate at most bound,
-    in increasing norm order.  Multiplicity-free by construction.
+    streamed in increasing (norm, highest weight) order.  Multiplicity-free
+    by construction.
+
+    This box serves ``parity_vanishing`` and the CLI ``spectrum``
+    command.  The spin-LKT search does not list K-types: ``dirac._scan``
+    walks the same columns and prunes them.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     datum = fam.datum
-    for hw in _highest_weights(fam, bound):
+    length, pad, weight, parity = _shape(fam)
+    zeros = (0,) * pad
+    # the columns fix the weight and both halves of its sort key
+    keyed = sorted(
+        (sum(x * x for x in cols), cols)
+        for cols in combinations_with_replacement(range(bound, -1, -1), length)
+        if parity is None or sum(cols) % 2 == parity
+    )
+    for _, cols in keyed:
+        hw = tuple(2 * x for x in cols for _ in range(weight)) + zeros
         yield KType(HalfIntVec(hw), datum)
 
 
@@ -142,29 +154,6 @@ def _shape(fam):
     else:
         raise ValueError("no K-spectrum catalog for family %s" % (fam,))
     return length, pad, weight, fam.parity
-
-
-def _highest_weights(fam, bound):
-    """The highest weights of the family's K-types with every coordinate
-    at most bound, as doubled-coordinate int tuples sorted by
-    (norm_sq_x4, hw).
-
-    This is the box that ``kspectrum`` streams (for ``parity_vanishing``
-    and the CLI ``spectrum`` command).  The spin-LKT search does not list
-    K-types: ``dirac._scan`` walks the same columns and prunes them.
-    """
-    length, pad, weight, parity = _shape(fam)
-    zeros = (0,) * pad
-    # the columns fix the weight and both halves of its sort key
-    keyed = sorted(
-        (sum(x * x for x in cols), cols)
-        for cols in combinations_with_replacement(range(bound, -1, -1), length)
-        if parity is None or sum(cols) % 2 == parity
-    )
-    return [
-        tuple(2 * x for x in cols for _ in range(weight)) + zeros
-        for _, cols in keyed
-    ]
 
 
 def search_norm_bound_x4(fam):

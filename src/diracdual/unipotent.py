@@ -88,26 +88,16 @@ def transpose(rows):
     )
 
 
-@dataclass(frozen=True)
-class ColumnPairing:
-    """Result of the column pairing procedure.
-
-    ``equal_removed`` lists the column value of each removed equal pair.
-    ``pairs`` are the sign-carrying pairs (big, small).  The anchor is a
-    single odd column for B, a trailing even column for C, and the
-    (first, last) even pair for D.  ``very_even`` marks the type-D case
-    where everything was removed as equal pairs.
-    """
-
-    family: str
-    equal_removed: tuple
-    pairs: tuple
-    singleton: object = None  # B: m0 (odd); C: trailing even column
-    spherical_pair: object = None  # D: (m0, m_last)
-    very_even: bool = False
-
-
 def column_pairing(orbit):
+    """Pair the orbit's columns: (shared, pairs, very_even).
+
+    ``shared`` is the doubled coordinates every parameter of the orbit
+    shares: the centered strings of the removed equal pairs, then the
+    anchor's string.  ``pairs`` are the sign-carrying pairs (big, small).
+    The anchor is a single odd column for B, a trailing even column for
+    C, and the (first, last) even pair for D.  ``very_even`` marks the
+    type-D case where everything was removed as equal pairs.
+    """
     cols = list(transpose(orbit.rows))
     fam = orbit.family
     if fam == "A":
@@ -120,33 +110,30 @@ def column_pairing(orbit):
     # peel equal columns at the family's scan positions, rescanning
     # from scratch after each removal
     start = 1 if fam == "C" else 0
-    removed = []
+    shared = ()
     while True:
         for i in range(start, len(cols) - 1, 2):
             if cols[i] == cols[i + 1]:
-                removed.append(cols[i])
+                shared += _centered_string(cols[i])
                 del cols[i : i + 2]
                 break
         else:
             break
 
     if fam == "B":
-        singleton = cols[0]
-        if singleton % 2 != 1:
+        if cols[0] % 2 != 1:
             raise RuntimeError("leading column must be odd")
-        return ColumnPairing(fam, tuple(removed), _paired(cols[1:]), singleton=singleton)
+        return shared + _string(cols[0] - 2, 1), _paired(cols[1:]), False
     if fam == "C":
-        singleton = cols[-1]
-        if singleton % 2 != 0:
+        if cols[-1] % 2 != 0:
             raise RuntimeError("trailing column must be even")
-        return ColumnPairing(fam, tuple(removed), _paired(cols[:-1]), singleton=singleton)
+        return shared + _string(cols[-1], 2), _paired(cols[:-1]), False
     # type D
     if not cols:
-        return ColumnPairing(fam, tuple(removed), (), very_even=True)
-    sph = (cols[0], cols[-1])
-    if sph[0] % 2 != 0 or sph[1] % 2 != 0:
+        return shared, (), True
+    if cols[0] % 2 != 0 or cols[-1] % 2 != 0:
         raise RuntimeError("anchor pair must be even")
-    return ColumnPairing(fam, tuple(removed), _paired(cols[1:-1]), spherical_pair=sph)
+    return shared + _string(cols[0] - 2, -cols[-1]), _paired(cols[1:-1]), False
 
 
 def _paired(cols):
@@ -180,22 +167,6 @@ def _centered_string(v):
     return _string(v - 1, -(v - 1))
 
 
-def _contributions(pairing):
-    """The doubled coordinates every parameter of the orbit shares: the
-    centered strings of the removed equal pairs, then the anchor's
-    string."""
-    fam = pairing.family
-    coords = [c for v in pairing.equal_removed for c in _centered_string(v)]
-    if fam == "B":
-        coords += _string(pairing.singleton - 2, 1)
-    elif fam == "C":
-        coords += _string(pairing.singleton, 2)
-    elif pairing.spherical_pair is not None:
-        m0, mlast = pairing.spherical_pair
-        coords += _string(m0 - 2, -mlast)
-    return tuple(coords)
-
-
 @dataclass(frozen=True)
 class UnipotentParam:
     orbit: OrbitPartition
@@ -208,17 +179,6 @@ class UnipotentParam:
         return "%s eta=%s %s%s" % (self.orbit, self.eta, self.zh, tag)
 
 
-def _frozen_pairs(pairing):
-    """Indices of pairs whose sign is pinned to +1 (connected group).
-
-    Only type B can trap the padding zero inside a pair; a pair ending
-    in 0 admits the -1 choice only on the disconnected form.
-    """
-    return tuple(
-        i for i, (a, b) in enumerate(pairing.pairs) if b == 0
-    )
-
-
 def infinitesimal_character(orbit):
     """The attached infinitesimal character, as a dominant weight."""
     if orbit.family == "A":
@@ -228,10 +188,8 @@ def infinitesimal_character(orbit):
         )
         datum = orbit.datum
         return dominant_rep(HalfIntVec(coords), datum)
-    pairing = column_pairing(orbit)
-    coords = _contributions(pairing) + tuple(
-        c for a, b in pairing.pairs for c in _pair_string(a, b)
-    )
+    shared, pairs, _ = column_pairing(orbit)
+    coords = shared + tuple(c for a, b in pairs for c in _pair_string(a, b))
     return dominant_rep(HalfIntVec(coords), orbit.datum)
 
 
@@ -250,16 +208,6 @@ def component_group_order(orbit):
     return 2 ** max(odd - 1, 0)
 
 
-def canonical_param(lL, lR, datum):
-    """Canonical representative of (lL, lR) up to simultaneous action."""
-    pairs = _canonical_pairs(list(lL.doubled), list(lR.doubled), datum.family)
-    return ZhParam(
-        HalfIntVec(tuple(p[0] for p in pairs)),
-        HalfIntVec(tuple(p[1] for p in pairs)),
-        datum,
-    )
-
-
 def enumerate_parameters(orbit):
     """All distinguished parameters attached to the orbit.
 
@@ -270,18 +218,20 @@ def enumerate_parameters(orbit):
     if orbit.family == "A":
         lam = infinitesimal_character(orbit)
         return [UnipotentParam(orbit, (), ZhParam(lam, lam, datum))]
-    pairing = column_pairing(orbit)
-    spherical = _contributions(pairing)
-    frozen = set(_frozen_pairs(pairing))
-    free = [i for i in range(len(pairing.pairs)) if i not in frozen]
+    shared, pairs, very_even = column_pairing(orbit)
+    # a pair ending in 0 keeps sign +1 (connected group): only type B can
+    # trap the padding zero inside a pair, and such a pair admits the -1
+    # choice only on the disconnected form
+    free = [i for i, (a, b) in enumerate(pairs) if b]
+    tag = "I/II" if very_even else ""
     out = []
     for choice in itertools.product((1, -1), repeat=len(free)):
-        eta = [1] * len(pairing.pairs)
+        eta = [1] * len(pairs)
         for i, s in zip(free, choice):
             eta[i] = s
-        left = list(spherical)
-        right = list(spherical)
-        for (a, b), s in zip(pairing.pairs, eta):
+        left = list(shared)
+        right = list(shared)
+        for (a, b), s in zip(pairs, eta):
             if s == 1:
                 seg = _pair_string(a, b)
                 left.extend(seg)
@@ -290,10 +240,9 @@ def enumerate_parameters(orbit):
                 l_seg, r_seg = _pair_staggered(a, b)
                 left.extend(l_seg)
                 right.extend(r_seg)
-        zh = canonical_param(
-            HalfIntVec(tuple(left)), HalfIntVec(tuple(right)), datum
-        )
-        tag = "I/II" if pairing.very_even else ""
+        canon = _canonical_pairs(left, right, datum.family)
+        zh = ZhParam(HalfIntVec(tuple(l for l, _ in canon)),
+                     HalfIntVec(tuple(r for _, r in canon)), datum)
         out.append(UnipotentParam(orbit, tuple(eta), zh, very_even_tag=tag))
     return out
 

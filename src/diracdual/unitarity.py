@@ -178,24 +178,16 @@ def _trivial_kt(datum):
     return _kt(datum, [])
 
 
-def _adjoint_kt(datum):
-    # smallest faithful-ish test K-type: (1,1,0,...) for the orthogonal
-    # families, (2,0,...) for C; rank one degenerates to (1) for B.
-    if datum.family == "C":
-        return _kt(datum, [2])
-    if datum.rank == 1:
-        if datum.family == "D":
-            return None          # so(2) is abelian; no such K-type
-        return _kt(datum, [1])
-    return _kt(datum, [1, 1])
-
-
 def _bottom_pair(datum):
-    """Trivial + adjoint-type pair; the generic indefiniteness witness."""
-    adj = _adjoint_kt(datum)
-    if adj is None:
-        return (_trivial_kt(datum),)
-    return (_trivial_kt(datum), adj)
+    """Trivial + adjoint-type pair, the generic indefiniteness witness of
+    the orthogonal families (only B and D data reach it).  The
+    adjoint-type K-type is (1,1,0,...); at rank one it is (1) for B, and
+    D has none, so(2) being abelian."""
+    if datum.rank > 1:
+        return (_trivial_kt(datum), _kt(datum, [1, 1]))
+    if datum.family == "B":
+        return (_trivial_kt(datum), _kt(datum, [1]))
+    return (_trivial_kt(datum),)
 
 
 def _boundary_pair(datum):

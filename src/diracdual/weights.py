@@ -265,8 +265,9 @@ def is_regular_doubled(d, family):
     return family == "D" or 0 not in mags  # D: a single zero is fine
 
 
-def nspan_coefficients(v, datum):
-    """Expand v over the simple roots; None unless all coefficients are
+def nspan_doubled(d, fam):
+    """Expand a nonempty sequence of doubled coordinates over the simple
+    roots of family ``fam``; None unless all coefficients are
     nonnegative integers.
 
     Closed forms via prefix sums p_i = v_1 + ... + v_i: type A needs
@@ -274,14 +275,6 @@ def nspan_coefficients(v, datum):
     p_i >= 0 with p_n even; type D needs p_i >= 0 up to i = n-2 and
     both (p_{n-1} -+ v_n)/2 nonnegative integers.
     """
-    if len(v) != datum.rank:
-        raise ValueError("rank mismatch")
-    return nspan_doubled(v.doubled, datum.family)
-
-
-def nspan_doubled(d, fam):
-    """:func:`nspan_coefficients` on a nonempty sequence of doubled
-    coordinates."""
     if any(x & 1 for x in d):
         return None
     c = [x // 2 for x in d]

@@ -20,7 +20,7 @@ from diracdual.weights import (
     is_dominant,
     is_regular,
     norm_sq_x4,
-    nspan_coefficients,
+    nspan_doubled,
     rho,
 )
 from diracdual.characters import (
@@ -203,7 +203,7 @@ def test_criterion_5_positivity():
             for dp, mult in tensor_decompose(rho_kt, eta):
                 constituents += 1
                 assert mult >= 1, (str(fam), str(dp.hw))
-                coeffs = nspan_coefficients(dp.hw - delta, datum)
+                coeffs = nspan_doubled((dp.hw - delta).doubled, datum.family)
                 assert coeffs is not None, (
                     "%s: constituent %s of V(%s) (x) V(rho) is not above "
                     "delta = %s" % (fam, dp.hw, eta.hw, delta)

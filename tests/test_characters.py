@@ -19,7 +19,7 @@ from diracdual.weights import (
     dominant_doubled,
     is_regular_doubled,
     norm_sq_x4,
-    nspan_coefficients,
+    nspan_doubled,
     rho,
     vec,
 )
@@ -151,7 +151,7 @@ def _freudenthal_reference(datum, hw, wt):
     """Multiplicity of the dominant weight wt in V(hw), by recursion."""
     if wt == hw:
         return 1
-    if nspan_coefficients(HalfIntVec(hw) - HalfIntVec(wt), datum) is None:
+    if nspan_doubled((HalfIntVec(hw) - HalfIntVec(wt)).doubled, datum.family) is None:
         return 0
     r = rho(datum).doubled
     gap = sum((h + c) ** 2 - (w + c) ** 2 for h, w, c in zip(hw, wt, r))
@@ -322,7 +322,7 @@ def test_prv_component_minimal_and_multiplicity_one(family):
             if kt != c:
                 assert norm_sq_x4(kt.hw + r) > target, (a.hw, b.hw, kt.hw)
             # every constituent sits above the minimal one in the root lattice
-            coeffs = nspan_coefficients(kt.hw - c.hw, datum)
+            coeffs = nspan_doubled((kt.hw - c.hw).doubled, datum.family)
             assert coeffs is not None, (a.hw, b.hw, kt.hw)
 
 

@@ -204,6 +204,10 @@ def test_precondition_violations_exit_2(capsys):
         # the count of core sizes does not fit the kind
         ("dirac-induced", "--levi", "g", "--core", "B:2"),
         ("dirac-induced", "--levi", "g", "--core", "C_even:2,3"),
+        # an empty core size is not dropped
+        ("dirac-induced", "--levi", "g", "--core", "B:1,,2"),
+        ("dirac-induced", "--levi", "g", "--core", "C_even:2,"),
+        ("dirac-induced", "--levi", "g", "--core", "C_even:,2"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
@@ -232,7 +236,9 @@ def test_malformed_sizes_name_the_expected_form(capsys):
             "error: partition must be comma-separated integers, e.g. 2,2,2 (got %r)"
             % (partition,))
     for core, form in (("B:2", "B:a,b"), ("C_even:2,3", "C_even:n"),
-                       ("D_odd:1,2,3", "D_odd:a,b"), ("C_odd:", "C_odd:n")):
+                       ("D_odd:1,2,3", "D_odd:a,b"), ("C_odd:", "C_odd:n"),
+                       ("B:1,,2", "B:a,b"), ("C_even:2,", "C_even:n"),
+                       ("C_even:,2", "C_even:n")):
         code, _, err = run(capsys, "dirac-induced", "--levi", "g", "--core", core)
         assert code == 2
         assert err.strip() == "error: core %s needs %s (got %r)" % (

@@ -13,7 +13,7 @@ from diracdual.weights import (
     norm_sq_x4,
 )
 from diracdual.spectrum import (
-    KINDS,
+    _KINDS,
     UnipotentFamily,
     kspectrum,
     search_norm_bound_x4,
@@ -64,7 +64,7 @@ def test_kinds_table():
         "D_odd": ("D", 1),
         "A": ("A", None),
     }
-    assert KINDS == tuple(want)
+    assert tuple(_KINDS) == tuple(want)
     for kind, (family, parity) in want.items():
         # every size given: each kind reads only the ones it is sized by
         fam = UnipotentFamily(kind, a=1, b=2, n=3)

@@ -14,7 +14,7 @@ from diracdual.weights import (
     is_dominant,
     is_regular,
     norm_sq_x4,
-    nspan_coefficients,
+    nspan_doubled,
     rho,
     vec,
     w0_action,
@@ -250,7 +250,7 @@ def test_nspan_small_exhaustive(family):
     datum = RootDatum(family, 2)
     for coords in itertools.product(range(-4, 5), repeat=2):
         v = vec(*coords)
-        got = nspan_coefficients(v, datum)
+        got = nspan_doubled(v.doubled, datum.family)
         want = _in_cone_brute(v, datum)
         assert (got is not None) == want, (family, coords, got)
         if got is not None:
@@ -264,16 +264,16 @@ def test_nspan_small_exhaustive(family):
 
 def test_nspan_type_a_needs_zero_sum():
     datum = RootDatum("A", 3)
-    assert nspan_coefficients(vec(1, 0, -1), datum) is not None
-    assert nspan_coefficients(vec(1, 0, 0), datum) is None
-    assert nspan_coefficients(vec(-1, 1, 0), datum) is None
+    assert nspan_doubled(vec(1, 0, -1).doubled, datum.family) is not None
+    assert nspan_doubled(vec(1, 0, 0).doubled, datum.family) is None
+    assert nspan_doubled(vec(-1, 1, 0).doubled, datum.family) is None
 
 
 def test_nspan_rejects_half_integral_steps():
     datum = RootDatum("C", 2)
-    assert nspan_coefficients(HalfIntVec.parse("1/2,1/2"), datum) is None
-    assert nspan_coefficients(vec(1, 1), datum) is not None
-    assert nspan_coefficients(vec(1, -1), datum) is not None
+    assert nspan_doubled(HalfIntVec.parse("1/2,1/2").doubled, datum.family) is None
+    assert nspan_doubled(vec(1, 1).doubled, datum.family) is not None
+    assert nspan_doubled(vec(1, -1).doubled, datum.family) is not None
 
 
 # -- RootDatum ----------------------------------------------------------------
