@@ -32,7 +32,7 @@ from .weights import (
     dim,
     dominant_doubled,
     dominant_rep,
-    nspan_doubled,
+    in_root_cone,
     w0_action,
 )
 
@@ -52,11 +52,12 @@ def dominant_weights(hw, datum):
 def _dominant_weight_table(datum, lam):
     """Freudenthal's recursion for V(lam), as ((doubled weight, mult), ...).
 
-    The dominant weights of V(lam) are the dominant mu with lam - mu an
-    N-combination of simple roots, each coordinate between lam_n and lam_1
-    (A) or at most lam_1 in magnitude.  Of two such weights nu > mu,
-    |nu + rho| > |mu + rho|, so by increasing gap |lam + rho|^2 -
-    |mu + rho|^2 every multiplicity the recursion needs is already known.
+    The dominant weights of V(lam) are the dominant mu with lam - mu in the
+    positive root cone (``in_root_cone``, which holds 0, so lam passes),
+    each coordinate between lam_n and lam_1 (A) or at most lam_1 in
+    magnitude.  Of two such weights nu > mu, |nu + rho| > |mu + rho|, so
+    by increasing gap |lam + rho|^2 - |mu + rho|^2 every multiplicity the
+    recursion needs is already known.
     """
     family, n = datum.family, datum.rank
     r = _rho_doubled(family, n)
@@ -64,8 +65,7 @@ def _dominant_weight_table(datum, lam):
     hull = []
     for mu in itertools.combinations_with_replacement(values, n):
         for mu in (mu, mu[:-1] + (-mu[-1],)) if family == "D" and mu[-1] else (mu,):
-            # D1 has no simple roots, so only lam - lam passes by equality
-            if mu == lam or nspan_doubled([x - y for x, y in zip(lam, mu)], family) is not None:
+            if in_root_cone(map(operator.sub, lam, mu), family):
                 hull.append((sum((x + c) ** 2 - (y + c) ** 2 for x, y, c in zip(lam, mu, r)), mu))
     hull.sort()
     mult = {}
@@ -191,6 +191,8 @@ def _rho_weight_table(family, rank):
     signed permutations, in type D too.  Splitting off x_1 leaves V(rho)
     one rank lower: each j > 1 gives the c_1 of c_1 + c_j to x_1 or moves
     mu_j by -+1, and after k such c_1 x_1 takes [e^{mu_1 x}] f(x) c(x)^k.
+    A key is a weight iff rho - key is ``in_root_cone``.  The kmin cut (the
+    fewest c_1 x_1's row can take) pays: B8 builds in 0.12 s, 0.35 without.
     """
     if rank == 0:
         return {(): 1}
@@ -204,10 +206,7 @@ def _rho_weight_table(family, rank):
     box, cap = (r[1] if rank > 1 else 0), sum(c * c for c in r[1:])
     table = {}
     for key in itertools.combinations_with_replacement(range(r[0], -1, -2), rank):
-        # a weight iff rho - key is in the N-span of the simple roots: for
-        # sorted magnitudes, prefix sums >= 0 and an even total in C and D
-        p = list(itertools.accumulate(map(operator.sub, r, key)))
-        if min(p) < 0 or family != "B" and p[-1] & 3:
+        if not in_root_cone(map(operator.sub, r, key), family):
             continue
         row = [c[key[0]] for c in coef]
         kmin, left = next(k for k, c in enumerate(row) if c), rank - 1
@@ -241,8 +240,9 @@ class RhoTensorEngine:
 
     A query walks the signed permutations one coordinate at a time,
     carrying det(w), and cuts every branch that leaves the box
-    |mu_i| <= rho_1 or the balls ||mu|| <= ||rho||, |mu|_1 <= |rho|_1 that
-    hold every weight.  m_rho comes from ``_rho_weight_table``, which must
+    |mu_i| <= rho_1 or the ball ||mu|| <= ||rho|| that hold every weight
+    (without the ball a D7 query takes 6.3 ms, not 4.9; an L1 ball on top
+    saved nothing).  m_rho comes from ``_rho_weight_table``, which must
     hold all 2^|positive roots| weights (else RuntimeError).
     """
 
@@ -271,7 +271,7 @@ class RhoTensorEngine:
         if (pe.pop() + pt.pop() + r[0]) & 1:
             return 0
         t = [c + d for c, d in zip(tau.doubled, r, strict=True)]
-        n, top, ball, l1 = len(t), r[0], sum(c * c for c in r), sum(r)
+        n, top, ball = len(t), r[0], sum(c * c for c in r)
         # type D changes evenly many signs, with det 1; a zero in t absorbs
         # an odd count.  rows[i][j]: where t_j may go as coordinate i, as
         # (|mu_i|, mu_i^2, det factor, sign changes)
@@ -282,22 +282,22 @@ class RhoTensorEngine:
                 for b in (e + c_r for e, c_r in zip(eta.doubled, r, strict=True))]
         mu, table = [0] * n, self._table
 
-        def walk(i, det, sq, ab, rest, flips):
+        def walk(i, det, sq, rest, flips):
             total = 0
             for k, j in enumerate(rest):
                 d = -det if k & 1 else det  # k unused indices lie below j
                 for a, a2, s, f in rows[i][j]:
-                    if sq + a2 > ball or ab + a > l1:
+                    if sq + a2 > ball:
                         continue
                     mu[i] = a
                     if i + 1 < n:
-                        total += walk(i + 1, d * s, sq + a2, ab + a,
+                        total += walk(i + 1, d * s, sq + a2,
                                       rest[:k] + rest[k + 1:], flips + f)
                     elif not (even_only and (flips + f) & 1):
                         total += d * s * table.get(tuple(sorted(mu, reverse=True)), 0)
             return total
 
-        total = walk(0, 1, 0, 0, tuple(range(n)), 0)
+        total = walk(0, 1, 0, tuple(range(n)), 0)
         del walk  # it refers to itself: free it now, not at the next gc
         return total
 

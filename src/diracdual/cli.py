@@ -38,8 +38,6 @@ def _datum(args, *weights):
     weight when omitted; every weight is cross-checked against it."""
     rank = getattr(args, "rank", None)
     if rank is None:
-        if not weights:
-            raise ValueError("--rank is required here")
         rank = len(weights[0])
     for w in weights:
         if len(w) != rank:

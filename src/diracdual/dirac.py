@@ -132,11 +132,7 @@ def _scan(fam, bound):
     falls, so the walk stops at the first column it cuts.  The K-types
     of the region are counted by one _count_columns call, apart from
     the walk."""
-    if fam.kind == "A":
-        raise ValueError(
-            "no spin-norm scan for %s: the family's K-types are not catalogued"
-            % (fam,)
-        )
+    length, pad, weight, parity = _shape(fam)
     datum = fam.datum
     tl = two_lambda(fam)
     target = norm_sq_x4(tl)
@@ -148,7 +144,6 @@ def _scan(fam, bound):
             raise ValueError("bound must be nonnegative")
         complete = bound >= cap
         cap, limit = bound, None
-    length, pad, weight, parity = _shape(fam)
     family, r = datum.family, rho(datum).doubled
     room = weight * length * cap * cap if limit is None else limit // 4
     # cost[j][x]: what column j adds to 4*||eta - rho||^2 when it is x,
@@ -352,8 +347,7 @@ def dirac_induced(gl_blocks, core, xi):
     blocks = [int(k) for k in gl_blocks]
     if any(k <= 0 for k in blocks):
         raise ValueError("GL block sizes must be positive")
-    if core.kind == "A":
-        raise ValueError("core %s has no catalogued K-spectrum" % (core,))
+    _shape(core)  # a core without a K-spectrum catalog is refused here
     if not isinstance(xi, HalfIntVec):
         xi = HalfIntVec.from_halves(xi)
     if len(xi) != sum(blocks):

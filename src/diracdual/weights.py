@@ -17,7 +17,8 @@ e_1..e_n coordinates:
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate
 import operator
 
 FAMILIES = ("A", "B", "C", "D")
@@ -34,7 +35,8 @@ class HalfIntVec:
     doubled: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "doubled", tuple(int(c) for c in self.doubled))
+        # operator.index refuses floats and Fractions instead of truncating
+        object.__setattr__(self, "doubled", tuple(map(operator.index, self.doubled)))
 
     # -- construction helpers -------------------------------------------
 
@@ -79,9 +81,6 @@ class HalfIntVec:
 
     def __len__(self):
         return len(self.doubled)
-
-    def __iter__(self):
-        return iter(self.halves())
 
     # -- views -----------------------------------------------------------
 
@@ -265,51 +264,27 @@ def is_regular_doubled(d, family):
     return family == "D" or 0 not in mags  # D: a single zero is fine
 
 
-def nspan_doubled(d, fam):
-    """Expand a nonempty sequence of doubled coordinates over the simple
-    roots of family ``fam``; None unless all coefficients are
-    nonnegative integers.
-
-    Closed forms via prefix sums p_i = v_1 + ... + v_i: type A needs
-    every p_i >= 0 and p_n = 0; type B every p_i >= 0; type C every
-    p_i >= 0 with p_n even; type D needs p_i >= 0 up to i = n-2 and
-    both (p_{n-1} -+ v_n)/2 nonnegative integers.
-    """
-    if any(x & 1 for x in d):
-        return None
-    c = [x // 2 for x in d]
-    n = len(c)
-    prefix = []
-    acc = 0
-    for x in c:
-        acc += x
-        prefix.append(acc)
-    if fam == "A":
-        if prefix[-1] != 0 or any(p < 0 for p in prefix[:-1]):
-            return None
-        return tuple(prefix[:-1])
-    if fam == "B":
-        if any(p < 0 for p in prefix):
-            return None
-        return tuple(prefix)
-    if fam == "C":
-        if any(p < 0 for p in prefix[:-1]):
-            return None
-        if prefix[-1] % 2 or prefix[-1] < 0:
-            return None
-        return tuple(prefix[:-1]) + (prefix[-1] // 2,)
-    # type D
-    if n < 2:
-        return None
-    if any(p < 0 for p in prefix[: n - 2]):
-        return None
-    p_second_last = prefix[n - 2]  # v_1 + ... + v_{n-1}
-    vn = c[n - 1]
-    minus = p_second_last - vn
-    plus = p_second_last + vn
-    if minus % 2 or plus % 2 or minus < 0 or plus < 0:
-        return None
-    return tuple(prefix[: n - 2]) + (minus // 2, plus // 2)
+def in_root_cone(d, family):
+    """Are the doubled coordinates d (a nonempty iterable) an
+    N-combination of positive roots of ``family``?  0 is, in every family.
+    With the prefix sums p_i = v_1 + ... + v_i of the integral v: A needs
+    every p_i >= 0 and p_n = 0; B every p_i >= 0; C also p_n even; D
+    p_i >= 0 up to i = n-2 and both p_{n-1} -+ v_n even and nonnegative
+    (D1 has no roots).  Taken doubled, "even" reads "divisible by 4", and
+    v is integral iff every doubled sum is even."""
+    p = list(accumulate(d))
+    if reduce(operator.or_, p) & 1:
+        return False
+    if family == "A":
+        return p[-1] == 0 and min(p) >= 0
+    if family == "B":
+        return min(p) >= 0
+    if family == "C":
+        return min(p) >= 0 and not p[-1] & 3
+    if len(p) < 2:
+        return not p[0]
+    v = p[-1] - p[-2]
+    return min(p[:-1]) >= 0 and p[-2] >= abs(v) and not (p[-2] - v) & 3
 
 
 def w0_action(v, datum):

@@ -17,10 +17,10 @@ from diracdual.weights import (
     HalfIntVec,
     RootDatum,
     dominant_rep,
+    in_root_cone,
     is_dominant,
     is_regular,
     norm_sq_x4,
-    nspan_doubled,
     rho,
 )
 from diracdual.characters import (
@@ -203,8 +203,7 @@ def test_criterion_5_positivity():
             for dp, mult in tensor_decompose(rho_kt, eta):
                 constituents += 1
                 assert mult >= 1, (str(fam), str(dp.hw))
-                coeffs = nspan_doubled((dp.hw - delta).doubled, datum.family)
-                assert coeffs is not None, (
+                assert in_root_cone((dp.hw - delta).doubled, datum.family), (
                     "%s: constituent %s of V(%s) (x) V(rho) is not above "
                     "delta = %s" % (fam, dp.hw, eta.hw, delta)
                 )
@@ -341,9 +340,11 @@ def test_criterion_8_d_series_two_lambda():
         "%d of the size-<=6 families fall in the misordered-display range."
         % mismatches
     )
-    REPORT_DIR.mkdir(exist_ok=True)
+    # the committed report must read exactly as computed: a change to the
+    # table shows here, and the test leaves the tree as it found it
     out = REPORT_DIR / "d_series_two_lambda.txt"
-    out.write_text("\n".join(lines) + "\n")
+    assert out.read_text() == "\n".join(lines) + "\n", (
+        "%s differs from the computed table" % (out,))
     elapsed = _budget(t0, 10, "criterion 8")
     print(
         "CRITERION 8 PASS: D-series 2*lambda dominant, regular and integral; "

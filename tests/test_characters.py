@@ -17,9 +17,9 @@ from diracdual.weights import (
     HalfIntVec,
     RootDatum,
     dominant_doubled,
+    in_root_cone,
     is_regular_doubled,
     norm_sq_x4,
-    nspan_doubled,
     rho,
     vec,
 )
@@ -151,7 +151,7 @@ def _freudenthal_reference(datum, hw, wt):
     """Multiplicity of the dominant weight wt in V(hw), by recursion."""
     if wt == hw:
         return 1
-    if nspan_doubled((HalfIntVec(hw) - HalfIntVec(wt)).doubled, datum.family) is None:
+    if not in_root_cone((HalfIntVec(hw) - HalfIntVec(wt)).doubled, datum.family):
         return 0
     r = rho(datum).doubled
     gap = sum((h + c) ** 2 - (w + c) ** 2 for h, w, c in zip(hw, wt, r))
@@ -322,8 +322,7 @@ def test_prv_component_minimal_and_multiplicity_one(family):
             if kt != c:
                 assert norm_sq_x4(kt.hw + r) > target, (a.hw, b.hw, kt.hw)
             # every constituent sits above the minimal one in the root lattice
-            coeffs = nspan_doubled((kt.hw - c.hw).doubled, datum.family)
-            assert coeffs is not None, (a.hw, b.hw, kt.hw)
+            assert in_root_cone((kt.hw - c.hw).doubled, datum.family), (a.hw, b.hw, kt.hw)
 
 
 # -- the decomposition: (KType, multiplicity) pairs ----------------------------
@@ -338,6 +337,14 @@ def test_decomposition_api():
     assert dict(dec).get(KType(vec(5, 5), datum), 0) == 0
     hws = [kt.hw.doubled for kt, _ in dec]
     assert hws == sorted(hws, reverse=True)
+
+
+def test_products_refuse_mixed_data():
+    c2, b2 = KType(vec(1, 0), RootDatum("C", 2)), KType(vec(1, 0), RootDatum("B", 2))
+    with pytest.raises(ValueError, match="cannot tensor modules of different data"):
+        tensor_decompose(c2, b2)
+    with pytest.raises(ValueError, match="datum mismatch"):
+        prv_component(c2, b2)
 
 
 # -- the dense engine for (x) V(rho) -----------------------------------------

@@ -176,6 +176,9 @@ def test_precondition_violations_exit_2(capsys):
         ("rho", "--type", "C", "--rank", "0"),
         ("unitarity", "--type", "B", "--rank", "3", "--lambda", "1/2,1/2,1"),
         ("dirac", "--family", "A", "--a", "1", "--b", "2"),
+        ("spin-lkt", "--family", "A", "--a", "1", "--b", "2"),
+        ("dirac-induced", "--core", "A:1,2"),
+        ("dirac-induced", "--levi", "gl1", "--core", "A:1,2", "--xi", "1"),
         ("dirac-induced", "--levi", "gl2", "--core", "C_even:2",
          "--xi", "1/2,1/2"),
         ("dirac-induced", "--levi", "bad", "--core", "C_even:2", "--xi", "4"),

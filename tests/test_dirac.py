@@ -141,7 +141,7 @@ def test_nonzero_series_b12():
 
 
 def test_scan_rejects_uncatalogued():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"no K-spectrum catalog for family A\(1,2\)"):
         spin_lkt_unipotent(UnipotentFamily("A", a=1, b=2))
     with pytest.raises(ValueError):
         spin_lkt_unipotent(UnipotentFamily("SpinB", n=2))
@@ -655,6 +655,34 @@ def test_induced_error_contract():
         dirac_induced([0], fam("C_even", 2), HalfIntVec(()))
     with pytest.raises(ValueError):
         dirac_induced([1], UnipotentFamily("SpinB", n=2), HalfIntVec.parse("4"))
+    # xi's length is checked against the blocks, in either form of xi
+    with pytest.raises(ValueError, match="xi has 1 coordinates, the GL blocks need 2"):
+        dirac_induced([2], fam("C_even", 2), [-6])
+    with pytest.raises(ValueError, match="xi has 2 coordinates, the GL blocks need 1"):
+        dirac_induced([1], fam("C_even", 2), HalfIntVec.parse("1,2"))
+    # a type-A core is refused by the one spectrum-catalog check, with or
+    # without blocks
+    for blocks, xi in (([], ()), ([1], (1,))):
+        with pytest.raises(ValueError, match=r"no K-spectrum catalog for family A\(1,2\)"):
+            dirac_induced(blocks, UnipotentFamily("A", a=1, b=2), xi)
+
+
+def test_induced_takes_xi_as_plain_coordinates():
+    # a list of ordinary coordinates reads as HalfIntVec.from_halves does
+    via_list = dirac_induced([2], fam("C_even", 2), [-6, -6])
+    via_vec = dirac_induced([2], fam("C_even", 2), HalfIntVec.parse("-6,-6"))
+    assert via_list.as_dict() == via_vec.as_dict()
+    assert via_list.as_dict()["spin_lkts"] == [["6,6,2,0", 1]]
+    halves = dirac_induced([2], fam("C_even", 2), ["-3", "-3"])
+    assert halves.as_dict() == {
+        "nonzero": True, "tau": "0,0,0,0", "multiplicity": 4, "spin_lkts": [],
+        "checks": {
+            "lambda": "-1,-2,3/2,1/2", "gl_blocks": [2], "core": "C_even(2)",
+            "core_nonzero": True, "spin_lkt_verified": False,
+            "note": "bottom-layer lift V(3,3,2,0) does not reach the spin-norm "
+                    "floor; the spin-LKT is not identified",
+        },
+    }
 
 
 def test_result_string_forms():

@@ -143,6 +143,17 @@ def test_parameters_share_infinitesimal_character():
             assert dominant_rep(p.zh.lambda_R, orbit.datum) == lam
 
 
+def test_type_a_orbit_has_one_spherical_parameter():
+    # gl(3), orbit (2,1): the centered column strings, one parameter
+    orbit = validate((2, 1), "A")
+    lam = infinitesimal_character(orbit)
+    assert str(lam) == "1/2,0,-1/2"
+    params = enumerate_parameters(orbit)
+    assert [(p.eta, str(p.zh.lambda_L), str(p.zh.lambda_R)) for p in params] == [
+        ((), "1/2,0,-1/2", "1/2,0,-1/2")]
+    assert len(params) == component_group_order(orbit) == 1
+
+
 def test_model_orbit_parameters():
     # sp(6), orbit (2,2,2): two parameters, one spherical one not
     params = enumerate_parameters(validate((2, 2, 2), "C"))

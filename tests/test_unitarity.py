@@ -56,6 +56,21 @@ def test_so7_spherical_table():
     assert _witness_set(verdict) == {"1,1,0", "1,1,1"}
 
 
+def test_type_a_spherical_goes_through_the_level_machinery():
+    # gl(3), lambda = rho: one level-0 GL(3) block on a rank-0 trivial core
+    for lam in ("1,0,-1", "-1,1,0"):
+        verdict = spherical_unitarity(v(lam), RootDatum("A", 3))
+        assert verdict.as_dict() == {
+            "status": "Unitary",
+            "case": "A:character-stack",
+            "certificate": {
+                "kind": "induced",
+                "gl_blocks": [{"level": 0, "size": 3, "string": ["1", "0", "-1"]}],
+                "core": {"kind": "trivial", "rank": 0},
+            },
+        }
+
+
 def test_so9_spherical_table():
     verdict = spherical_unitarity(v("5/2,2,3/2,1/2"), RootDatum("B", 4))
     assert verdict.status == "NonUnitary"

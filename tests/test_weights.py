@@ -11,10 +11,10 @@ from diracdual.weights import (
     HalfIntVec,
     RootDatum,
     dominant_rep,
+    in_root_cone,
     is_dominant,
     is_regular,
     norm_sq_x4,
-    nspan_doubled,
     rho,
     vec,
     w0_action,
@@ -38,6 +38,19 @@ def test_from_halves_and_parse():
     assert HalfIntVec.parse("5/2,1,-3/2") == v
     assert HalfIntVec.parse(" 5/2 , 1,-3/2 ") == v
     assert str(v) == "5/2,1,-3/2"
+
+
+def test_constructor_refuses_non_integers():
+    # doubled coordinates must be integers: a float or a Fraction raises
+    # instead of being truncated to another weight
+    with pytest.raises(TypeError):
+        HalfIntVec((5.9, 3.2, 1.7))
+    with pytest.raises(TypeError):
+        HalfIntVec((Fraction(7, 2), 1))
+    v = HalfIntVec([5, 3, 1])
+    assert v.doubled == (5, 3, 1) and type(v.doubled[0]) is int
+    assert str(v) == "5/2,3/2,1/2"
+    assert HalfIntVec((True, False)).doubled == (1, 0)
 
 
 def test_from_halves_rejects_thirds():
@@ -214,24 +227,6 @@ def test_w0_gives_the_dual_dominant_rep(v, family):
 # -- nonnegative root cone ----------------------------------------------------
 
 
-def _simple_roots(datum):
-    n = datum.rank
-    out = []
-    for i in range(n - 1):
-        r = [0] * n
-        r[i], r[i + 1] = 1, -1
-        out.append(r)
-    if datum.family == "B":
-        out.append([0] * (n - 1) + [1])
-    elif datum.family == "C":
-        out.append([0] * (n - 1) + [2])
-    elif datum.family == "D":
-        r = [0] * n
-        r[n - 2], r[n - 1] = 1, 1
-        out.append(r)
-    return out
-
-
 def _in_cone_brute(v, datum, cap=6):
     """Slow check: v is an N-combination of positive roots."""
     roots = oracle.positive_roots(datum.family, datum.rank)
@@ -245,35 +240,35 @@ def _in_cone_brute(v, datum, cap=6):
     return False
 
 
-@pytest.mark.parametrize("family", "BCD")
+@pytest.mark.parametrize("family", "ABCD")
 def test_nspan_small_exhaustive(family):
     datum = RootDatum(family, 2)
     for coords in itertools.product(range(-4, 5), repeat=2):
         v = vec(*coords)
-        got = nspan_doubled(v.doubled, datum.family)
-        want = _in_cone_brute(v, datum)
-        assert (got is not None) == want, (family, coords, got)
-        if got is not None:
-            # simple-root coefficients actually reproduce v
-            acc = [0] * datum.rank
-            for c, r in zip(got, _simple_roots(datum)):
-                for i in range(datum.rank):
-                    acc[i] += 2 * c * r[i]
-            assert tuple(acc) == v.doubled
+        assert in_root_cone(v.doubled, datum.family) == _in_cone_brute(v, datum), (
+            family, coords)
+
+
+def test_root_cone_holds_zero_in_every_family():
+    # D1 has no roots: its cone is the origin alone
+    for family in "ABCD":
+        for n in range(1, 4):
+            assert in_root_cone((0,) * n, family), (family, n)
+    assert not in_root_cone((2,), "D") and not in_root_cone((-2,), "D")
 
 
 def test_nspan_type_a_needs_zero_sum():
     datum = RootDatum("A", 3)
-    assert nspan_doubled(vec(1, 0, -1).doubled, datum.family) is not None
-    assert nspan_doubled(vec(1, 0, 0).doubled, datum.family) is None
-    assert nspan_doubled(vec(-1, 1, 0).doubled, datum.family) is None
+    assert in_root_cone(vec(1, 0, -1).doubled, datum.family)
+    assert not in_root_cone(vec(1, 0, 0).doubled, datum.family)
+    assert not in_root_cone(vec(-1, 1, 0).doubled, datum.family)
 
 
 def test_nspan_rejects_half_integral_steps():
     datum = RootDatum("C", 2)
-    assert nspan_doubled(HalfIntVec.parse("1/2,1/2").doubled, datum.family) is None
-    assert nspan_doubled(vec(1, 1).doubled, datum.family) is not None
-    assert nspan_doubled(vec(1, -1).doubled, datum.family) is not None
+    assert not in_root_cone(HalfIntVec.parse("1/2,1/2").doubled, datum.family)
+    assert in_root_cone(vec(1, 1).doubled, datum.family)
+    assert in_root_cone(vec(1, -1).doubled, datum.family)
 
 
 # -- RootDatum ----------------------------------------------------------------
