@@ -44,7 +44,9 @@ from .weights import (
 
 def dominant_weights(hw, datum):
     """All dominant weights of the module with dominant highest weight hw,
-    with multiplicities, as {doubled tuple: mult}."""
+    with multiplicities, as {doubled tuple: mult}.  A highest weight that
+    ``KType`` refuses raises its ValueError."""
+    KType(hw, datum)
     return dict(_dominant_weight_table(datum, hw.doubled))
 
 
@@ -193,6 +195,9 @@ def _rho_weight_table(family, rank):
     mu_j by -+1, and after k such c_1 x_1 takes [e^{mu_1 x}] f(x) c(x)^k.
     A key is a weight iff rho - key is ``in_root_cone``.  The kmin cut (the
     fewest c_1 x_1's row can take) pays: B8 builds in 0.12 s, 0.35 without.
+    No box or ball cut on the moved magnitudes is needed: every key one
+    rank lower lies in the box and ball of rho one rank lower, so
+    ``below`` already reads 0 for any term such a cut would drop.
     """
     if rank == 0:
         return {(): 1}
@@ -202,35 +207,33 @@ def _rho_weight_table(family, rank):
         for e in {"B": (1, -1), "C": (2, -2), "D": (0,)}[family]:
             coef[k][2 * (k - 2 * j) + e] += math.comb(k, j)
     r = _rho_doubled(family, rank)
-    # rho one rank lower is r[1:]: its box and its ball hold every key below
-    box, cap = (r[1] if rank > 1 else 0), sum(c * c for c in r[1:])
     table = {}
     for key in itertools.combinations_with_replacement(range(r[0], -1, -2), rank):
         if not in_root_cone(map(operator.sub, r, key), family):
             continue
         row = [c[key[0]] for c in coef]
         kmin, left = next(k for k, c in enumerate(row) if c), rank - 1
-        states = [(0, 1, (), 0)]  # (c_1 taken, weight, magnitudes, their norm)
+        states = [(0, 1, ())]  # (c_1 taken, weight, magnitudes)
         for v, group in itertools.groupby(key[1:]):
             cnt = len(list(group))
             left -= cnt
-            states = [(k + z, wt * w, parts + add, norm + sq)
-                      for z, w, add, sq in _moves(v, cnt, box) for k, wt, parts, norm in states
-                      if k + z + left >= kmin and norm + sq <= cap]
+            states = [(k + z, wt * w, parts + add)
+                      for z, w, add in _moves(v, cnt) for k, wt, parts in states
+                      if k + z + left >= kmin]
         table[key] = sum(row[k] * wt * below.get(tuple(sorted(parts, reverse=True)), 0)
-                         for k, wt, parts, _ in states if row[k])
+                         for k, wt, parts in states if row[k])
     return table
 
 
 @lru_cache(maxsize=None)
-def _moves(v, cnt, box):
+def _moves(v, cnt):
     """Ways for cnt coordinates of magnitude v to give c_1 (d = 0) or move
-    to |v - d| (d = +-2), as (c_1 given, count, magnitudes, their norm)."""
+    to |v - d| (d = +-2), as (c_1 given, count, magnitudes)."""
     out = []
     for ds in itertools.combinations_with_replacement((0, 2, -2), cnt):
         add = tuple(abs(v - d) for d in ds)
         count = math.factorial(cnt) // math.prod(map(math.factorial, map(ds.count, (0, 2, -2))))
-        out += [(ds.count(0), count, add, sum(a * a for a in add))] * (max(add) <= box)
+        out.append((ds.count(0), count, add))
     return out
 
 
@@ -262,6 +265,8 @@ class RhoTensorEngine:
     def multiplicity(self, eta, tau):
         """[V(eta) (x) V(rho) : V(tau)] for dominant eta, tau, each all
         integral or all half-integral."""
+        if len(eta) != self.datum.rank or len(tau) != self.datum.rank:
+            raise ValueError("weight length does not match rank %d" % self.datum.rank)
         pe, pt = {c & 1 for c in eta.doubled}, {c & 1 for c in tau.doubled}
         if len(pe) > 1 or len(pt) > 1:
             raise ValueError("mixed integral/half-integral coordinates")

@@ -16,14 +16,6 @@ import itertools
 
 from .weights import HalfIntVec, RootDatum, ZhParam, _canonical_pairs, dominant_rep
 
-FAMILY_RANK = {
-    "A": lambda n: n,
-    "B": lambda n: (n - 1) // 2,
-    "C": lambda n: n // 2,
-    "D": lambda n: n // 2,
-}
-
-
 @dataclass(frozen=True)
 class OrbitPartition:
     rows: tuple
@@ -35,10 +27,9 @@ class OrbitPartition:
 
     @property
     def datum(self):
-        return RootDatum(self.family, FAMILY_RANK[self.family](self.total))
-
-    def __str__(self):
-        return "%s[%s]" % (self.family, ",".join(str(r) for r in self.rows))
+        # gl(n) has rank n; so(2n+1), sp(2n) and so(2n) have rank n, and
+        # ``validate`` gives type B an odd total
+        return RootDatum(self.family, self.total if self.family == "A" else self.total // 2)
 
 
 def validate(rows, family):
@@ -155,11 +146,15 @@ def _pair_string(a, b):
 
 
 def _pair_staggered(a, b):
-    # sign -1: left side is the +1 string; the right side repeats its
-    # head down to (b+2)/2 and shifts the tail down by one
-    left = _pair_string(a, b)
-    right = _string(a, b + 2) + _string(b - 2, -b)
-    return left, right
+    # sign -1, right side: the +1 string's head down to (b+2)/2, then its
+    # tail shifted down by one (the left side keeps the +1 string)
+    return _string(a, b + 2) + _string(b - 2, -b)
+
+
+def _left_side(shared, pairs):
+    """The left side every parameter of the orbit shares: ``shared``, then
+    each pair's +1 string."""
+    return shared + tuple(c for a, b in pairs for c in _pair_string(a, b))
 
 
 def _centered_string(v):
@@ -174,10 +169,6 @@ class UnipotentParam:
     zh: ZhParam
     very_even_tag: str = ""
 
-    def __str__(self):
-        tag = " [%s]" % self.very_even_tag if self.very_even_tag else ""
-        return "%s eta=%s %s%s" % (self.orbit, self.eta, self.zh, tag)
-
 
 def infinitesimal_character(orbit):
     """The attached infinitesimal character, as a dominant weight."""
@@ -189,8 +180,7 @@ def infinitesimal_character(orbit):
         datum = orbit.datum
         return dominant_rep(HalfIntVec(coords), datum)
     shared, pairs, _ = column_pairing(orbit)
-    coords = shared + tuple(c for a, b in pairs for c in _pair_string(a, b))
-    return dominant_rep(HalfIntVec(coords), orbit.datum)
+    return dominant_rep(HalfIntVec(_left_side(shared, pairs)), orbit.datum)
 
 
 def component_group_order(orbit):
@@ -224,22 +214,14 @@ def enumerate_parameters(orbit):
     # choice only on the disconnected form
     free = [i for i, (a, b) in enumerate(pairs) if b]
     tag = "I/II" if very_even else ""
+    left = _left_side(shared, pairs)
     out = []
     for choice in itertools.product((1, -1), repeat=len(free)):
         eta = [1] * len(pairs)
         for i, s in zip(free, choice):
             eta[i] = s
-        left = list(shared)
-        right = list(shared)
-        for (a, b), s in zip(pairs, eta):
-            if s == 1:
-                seg = _pair_string(a, b)
-                left.extend(seg)
-                right.extend(seg)
-            else:
-                l_seg, r_seg = _pair_staggered(a, b)
-                left.extend(l_seg)
-                right.extend(r_seg)
+        right = shared + tuple(c for (a, b), s in zip(pairs, eta)
+                               for c in (_pair_string if s == 1 else _pair_staggered)(a, b))
         canon = _canonical_pairs(left, right, datum.family)
         zh = ZhParam(HalfIntVec(tuple(l for l, _ in canon)),
                      HalfIntVec(tuple(r for _, r in canon)), datum)

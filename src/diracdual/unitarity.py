@@ -68,16 +68,6 @@ class StringDecomp:
     def has_extras(self):
         return bool(self.kappa) or bool(self.sigma)
 
-    def __str__(self):
-        parts = []
-        if self.kappa0_len:
-            parts.append("k0<%d>" % self.kappa0_len)
-        if self.sigma0_len:
-            parts.append("s0<%d>" % self.sigma0_len)
-        parts.extend("k(%d..%d)" % kk for kk in self.kappa)
-        parts.extend("s(%d..%d)" % ss for ss in self.sigma)
-        return " ".join(parts) if parts else "(empty)"
-
 
 def _run_len(cnt, start):
     """Consume the maximal run start, start+1, ... (one copy each) of

@@ -166,8 +166,7 @@ def rho(datum):
     """Half the sum of positive roots.
 
     B_m: (m-1/2, ..., 1/2); C_m: (m, ..., 1); D_m: (m-1, ..., 1, 0);
-    A_n (gl level): (n-1, n-3, ..., 1-n)/2... realized as the actual
-    half-sum ((n-1)/2, (n-3)/2, ..., -(n-1)/2).
+    A_n, taken as gl(n): ((n-1)/2, (n-3)/2, ..., -(n-1)/2).
     """
     return HalfIntVec(_rho_doubled(datum.family, datum.rank))
 

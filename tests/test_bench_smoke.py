@@ -16,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["unitarity-sweep", "dirac-catalogue"])
+@pytest.mark.parametrize("workload", ["unitarity-sweep", "dirac-catalogue", "tensor-engine"])
 def test_traced_run_is_correct(workload):
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
+from diracdual import characters
 from diracdual.weights import (
     HalfIntVec,
     RootDatum,
@@ -337,6 +338,18 @@ def test_decomposition_api():
     assert dict(dec).get(KType(vec(5, 5), datum), 0) == 0
     hws = [kt.hw.doubled for kt, _ in dec]
     assert hws == sorted(hws, reverse=True)
+
+
+def test_dominant_weights_refuse_what_ktype_refuses():
+    # a half-integral type-C weight, a non-dominant one, and one whose
+    # recursion would not divide: bad input, so ValueError
+    for hw, family, msg in (
+        ((1, 1), "C", "half-integral K-types only exist"),
+        ((0, 2), "B", "0,1 is not dominant for B2"),
+        ((3, 3), "C", "half-integral K-types only exist"),
+    ):
+        with pytest.raises(ValueError, match=msg):
+            characters.dominant_weights(HalfIntVec(hw), RootDatum(family, 2))
 
 
 def test_products_refuse_mixed_data():

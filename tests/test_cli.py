@@ -137,6 +137,30 @@ def test_spin_lkt_json(capsys):
     assert rec["complete"] is True
 
 
+def test_prv_and_spin_norm_records(capsys):
+    argv = ("prv", "--type", "B", "--a", "1,1,0", "--b", "1,0,0")
+    assert run(capsys, *argv) == (0, "1,0,0\n", "")
+    assert run_json(capsys, *argv) == {
+        "type": "B", "rank": 3, "a": "1,1,0", "b": "1,0,0", "prv": "1,0,0", "dim": 7,
+    }
+    argv = ("spin-norm", "--type", "B", "--eta", "2,1,0")
+    assert run(capsys, *argv) == (0, "spin norm squared: 14  (4x: 56)\n", "")
+    assert run_json(capsys, *argv) == {
+        "type": "B", "rank": 3, "eta": "2,1,0", "spin_norm_sq_x4": 56, "spin_norm_sq": "14",
+    }
+
+
+def test_spin_lkt_truncated_scan(capsys):
+    argv = ("spin-lkt", "--family", "B", "--a", "1", "--b", "2", "--bound", "1")
+    assert run(capsys, *argv) == (0, (
+        "B(1,2): min spin norm squared 21 vs ||2 lambda||^2 = 14 (floor not attained)\n"
+        "  minimizer V(1,1,0) (multiplicity 1)\n"
+        "  (truncated scan: coordinates <= 1)\n"), "")
+    rec = run_json(capsys, *argv)
+    assert (rec["complete"], rec["floor_attained"]) == (False, False)
+    assert rec["spin_lkts"] == [["1,1,0", 1]]
+
+
 def test_catalog_json(capsys):
     rec = run_json(capsys, "catalog", "--type", "C", "--partition", "2,2,2")
     assert rec["valid"] is True
@@ -216,6 +240,22 @@ def test_precondition_violations_exit_2(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+
+
+def test_option_errors_name_the_problem(capsys):
+    both = "give either --lambda or --lambda-l/--lambda-r, not both"
+    neither = "need --lambda, or both --lambda-l and --lambda-r"
+    cases = [
+        (("unitarity", "--type", "B", "--lambda", "1/2,2,1",
+          "--lambda-l", "1,1,1", "--lambda-r", "1,1,1"), both),
+        (("unitarity", "--type", "B", "--rank", "3"), neither),
+        (("unitarity", "--type", "B", "--lambda-l", "1,1,1"), neither),
+        (("dirac-induced", "--core", "X:1,2"), "unknown family kind 'X'"),
+        (("dirac-induced", "--core", "B:1,x"), "core sizes must be integers (got '1,x')"),
+    ]
+    for argv, msg in cases:
+        for extra in ((), ("--json",)):
+            assert run(capsys, *argv, *extra) == (2, "", "error: %s\n" % msg), argv
 
 
 def test_empty_entries(capsys):

@@ -685,6 +685,15 @@ def test_induced_takes_xi_as_plain_coordinates():
     }
 
 
+def test_bound_errors():
+    with pytest.raises(ValueError, match="^bound must be nonnegative$"):
+        spin_lkt_unipotent(fam("B", 1, 2), -1)
+    with pytest.raises(ValueError, match="^bound 0 leaves no K-types to scan$"):
+        spin_lkt_unipotent(fam("C_odd", 1), 0)
+    with pytest.raises(ValueError, match="^bound 0 leaves no K-types to test$"):
+        parity_vanishing(fam("C_odd", 2), 0)
+
+
 def test_result_string_forms():
     assert "H_D = 0" in str(spin_lkt_unipotent(fam("C_odd", 2)))
     s = str(spin_lkt_unipotent(fam("C_even", 2)))

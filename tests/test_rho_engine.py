@@ -212,6 +212,11 @@ def test_query_rejects_wrong_rank():
         engine.multiplicity(HalfIntVec((4, 2)), HalfIntVec((4, 2, 0)))
     with pytest.raises(ValueError):
         engine.multiplicity(HalfIntVec((4, 2, 0)), HalfIntVec((4, 2, 0, 0)))
+    # in B3 the parity of rho alone would answer 0 for these
+    engine = RhoTensorEngine(RootDatum("B", 3))
+    for eta, tau in (((2, 0), (0, 0, 0)), ((2, 0, 0), (0, 0))):
+        with pytest.raises(ValueError, match="^weight length does not match rank 3$"):
+            engine.multiplicity(HalfIntVec(eta), HalfIntVec(tau))
 
 
 # -- ranks 7 and 8, out of the dense grid's reach ------------------------------

@@ -217,6 +217,11 @@ def test_kspectrum_rejects_uncatalogued():
         list(kspectrum(UnipotentFamily("A", a=1, b=2), 3))
 
 
+def test_kspectrum_rejects_negative_bound():
+    with pytest.raises(ValueError, match="^bound must be nonnegative$"):
+        list(kspectrum(UnipotentFamily("B", a=1, b=2), -1))
+
+
 def test_search_bound_covers_two_lambda():
     for fam in _series_families():
         assert search_norm_bound_x4(fam) > norm_sq_x4(two_lambda(fam))

@@ -147,6 +147,13 @@ def test_decompose_strings_rejects_type_a():
         decompose_strings(v("1/2,1"), RootDatum("A", 2))
 
 
+def test_decompose_strings_rejects_wrong_length_and_non_dominant():
+    with pytest.raises(ValueError, match="^expected 3 coordinates, got 2$"):
+        decompose_strings(v("1/2,3/2"), RootDatum("B", 3))
+    with pytest.raises(ValueError, match="^lambda must be dominant$"):
+        decompose_strings(v("1/2,3/2"), RootDatum("B", 2))
+
+
 def test_full_rejects_non_hermitian():
     from diracdual.weights import ZhParam
 
@@ -160,6 +167,12 @@ def test_full_rejects_genuine():
 
     param = ZhParam(v("3/2,1/2"), v("1,0"), RootDatum("B", 2))
     with pytest.raises(ValueError, match="genuine"):
+        full_unitarity(param)
+
+
+def test_full_requires_regular():
+    param = ZhParam(v("1,1,0"), v("1,1,0"), RootDatum("B", 3))
+    with pytest.raises(ValueError, match=r"^2\*lambda must be regular$"):
         full_unitarity(param)
 
 
@@ -412,7 +425,7 @@ def test_string_decomposition_partitions_coordinates(family):
             for (s, S) in sd.sigma:
                 rebuilt += list(range(s, S + 1))
             assert sorted(rebuilt) == sorted(abs(c) for c in lam.halves()), (
-                family, str(lam), str(sd),
+                family, str(lam), sd,
             )
 
 

@@ -10,6 +10,7 @@ import oracle
 from diracdual.weights import (
     HalfIntVec,
     RootDatum,
+    ZhParam,
     dominant_rep,
     in_root_cone,
     is_dominant,
@@ -175,6 +176,27 @@ def test_dominant_rep_idempotent(v, family):
     datum = RootDatum(family, len(v))
     d = dominant_rep(v, datum)
     assert dominant_rep(d, datum) == d
+
+
+def test_rank_checks():
+    b3 = RootDatum("B", 3)
+    with pytest.raises(ValueError, match="^weight has 2 coordinates, datum has rank 3$"):
+        dominant_rep(vec(1, 0), b3)
+    for check in (is_dominant, is_regular):
+        with pytest.raises(ValueError, match="^rank mismatch$"):
+            check(vec(1, 0), b3)
+
+
+def test_zh_param_checks():
+    with pytest.raises(ValueError, match="^parameter length does not match rank$"):
+        ZhParam(vec(1, 0), vec(1, 0, 0), RootDatum("B", 3))
+    with pytest.raises(ValueError, match="^parameter length does not match rank$"):
+        ZhParam(vec(1, 0, 0), vec(1, 0, 0), RootDatum("B", 2))
+    for family in "BC":
+        with pytest.raises(
+            ValueError, match="^lambda_L - lambda_R = 1/2,0 is not a module weight$"
+        ):
+            ZhParam(vec("1/2", 0), vec(0, 0), RootDatum(family, 2))
 
 
 def test_regularity():
