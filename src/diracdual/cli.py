@@ -199,6 +199,7 @@ def cmd_catalog(args):
         infinitesimal_character,
         is_stably_trivial,
         is_triangular,
+        partition_rows,
         validate,
     )
 
@@ -209,10 +210,7 @@ def cmd_catalog(args):
             "partition must be comma-separated integers, e.g. 2,2,2 (got %r)"
             % (args.partition,)
         ) from None
-    if not rows or any(r <= 0 for r in rows):
-        raise ValueError("partition parts must be positive")
-    if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
-        raise ValueError("partition must be weakly decreasing")
+    partition_rows(rows, args.type)  # malformed input exits 2
     try:
         orbit = validate(rows, args.type)
     except ValueError as e:

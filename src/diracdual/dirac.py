@@ -13,7 +13,6 @@ dominant.  Everything here is exact integer arithmetic on quadrupled
 squared norms.
 """
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -24,6 +23,8 @@ from .weights import (
     HalfIntVec,
     KType,
     RootDatum,
+    _Frozen,
+    _set,
     dominant_doubled,
     dominant_rep,
     is_regular,
@@ -34,21 +35,34 @@ from .characters import _rho_tensor_multiplicities
 from .spectrum import _shape, kspectrum, search_norm_bound_x4, two_lambda
 
 
-@dataclass(frozen=True)
-class DiracResult:
+class DiracResult(_Frozen):
     """Outcome of a Dirac-cohomology computation.
 
     ``spin_lkts`` lists the spin-norm minimizers found, with their
     multiplicity in the module (always 1 here: the catalogued spectra
     are multiplicity free).  ``tau`` and ``multiplicity`` are populated
-    only when the cohomology is nonzero.
+    only when the cohomology is nonzero.  ``checks`` (a new dict when
+    omitted) records how the answer was reached; equality and the hash
+    ignore it.
     """
 
-    nonzero: bool
-    tau: object  # KType, or None when the cohomology vanishes
-    multiplicity: object  # 2^[l/2], or None
-    spin_lkts: tuple  # ((KType, mult), ...)
-    checks: dict = field(default_factory=dict, compare=False)
+    __slots__ = ("nonzero", "tau", "multiplicity", "spin_lkts", "checks")
+
+    def __init__(self, nonzero, tau, multiplicity, spin_lkts, checks=None):
+        _set(self, "nonzero", nonzero)
+        _set(self, "tau", tau)  # KType, or None when the cohomology vanishes
+        _set(self, "multiplicity", multiplicity)  # 2^[l/2], or None
+        _set(self, "spin_lkts", spin_lkts)  # ((KType, mult), ...)
+        _set(self, "checks", {} if checks is None else checks)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.nonzero, self.tau, self.multiplicity, self.spin_lkts) == (
+                other.nonzero, other.tau, other.multiplicity, other.spin_lkts)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.nonzero, self.tau, self.multiplicity, self.spin_lkts))
 
     def as_dict(self):
         return {
@@ -112,7 +126,8 @@ def spin_lkt_unipotent(fam, bound=None):
     ``checks`` dict.
     """
     res, _ = _scan(fam, bound)
-    return replace(res, checks=dict(res.checks))
+    return DiracResult(res.nonzero, res.tau, res.multiplicity, res.spin_lkts,
+                       dict(res.checks))
 
 
 @lru_cache(maxsize=256)

@@ -15,7 +15,6 @@ Families (rank derived from the parameters):
                    GL(a) x GL(b)
 """
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import isqrt
 
@@ -24,6 +23,8 @@ from .weights import (
     KType,
     RootDatum,
     ZhParam,
+    _Frozen,
+    _set,
     dominant_rep,
     norm_sq_x4,
     rho,
@@ -41,27 +42,35 @@ _KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class UnipotentFamily:
-    kind: str
-    a: int = 0
-    b: int = 0
-    n: int = 0
+class UnipotentFamily(_Frozen):
+    __slots__ = ("kind", "a", "b", "n")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError("unknown family kind %r" % (self.kind,))
+    def __init__(self, kind, a=0, b=0, n=0):
+        if kind not in _KINDS:
+            raise ValueError("unknown family kind %r" % (kind,))
         # the sizes the kind does not read are zeroed, so a stray size
         # neither splits equality nor the caches keyed by the family
-        if _KINDS[self.kind][0] == "C":
-            if self.n < 1:
+        if _KINDS[kind][0] == "C":
+            if n < 1:
                 raise ValueError("need n >= 1")
-            object.__setattr__(self, "a", 0)
-            object.__setattr__(self, "b", 0)
-        elif not (0 < self.a <= self.b):
-            raise ValueError("need 0 < a <= b, got a=%s b=%s" % (self.a, self.b))
+            a = b = 0
+        elif not (0 < a <= b):
+            raise ValueError("need 0 < a <= b, got a=%s b=%s" % (a, b))
         else:
-            object.__setattr__(self, "n", 0)
+            n = 0
+        _set(self, "kind", kind)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.a, self.b, self.n) == (
+                other.kind, other.a, other.b, other.n)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.a, self.b, self.n))
 
     @property
     def datum(self):

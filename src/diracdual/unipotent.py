@@ -11,15 +11,33 @@ single descending coordinate string (sign +1, spherical) or a staggered
 pair of strings, one for each side of the parameter (sign -1).
 """
 
-from dataclasses import dataclass
 import itertools
 
-from .weights import HalfIntVec, RootDatum, ZhParam, _canonical_pairs, dominant_rep
+from .weights import (
+    HalfIntVec,
+    RootDatum,
+    ZhParam,
+    _Frozen,
+    _canonical_pairs,
+    _set,
+    dominant_rep,
+)
 
-@dataclass(frozen=True)
-class OrbitPartition:
-    rows: tuple
-    family: str
+
+class OrbitPartition(_Frozen):
+    __slots__ = ("rows", "family")
+
+    def __init__(self, rows, family):
+        _set(self, "rows", rows)
+        _set(self, "family", family)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rows, self.family) == (other.rows, other.family)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rows, self.family))
 
     @property
     def total(self):
@@ -28,8 +46,23 @@ class OrbitPartition:
     @property
     def datum(self):
         # gl(n) has rank n; so(2n+1), sp(2n) and so(2n) have rank n, and
-        # ``validate`` gives type B an odd total
+        # ``validate`` gives type B an odd total of at least 3
         return RootDatum(self.family, self.total if self.family == "A" else self.total // 2)
+
+
+def partition_rows(rows, family):
+    """``rows`` as a tuple of ints, refused unless its parts are positive
+    and weakly decreasing and its group has positive rank: type B's [1]
+    is an orbit of so(1), of rank 0.  These refusals mark malformed
+    input, before any orbit condition of :func:`validate` is read."""
+    rows = tuple(int(r) for r in rows)
+    if not rows or any(r <= 0 for r in rows):
+        raise ValueError("partition parts must be positive")
+    if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
+        raise ValueError("partition must be weakly decreasing")
+    if family == "B" and rows == (1,):
+        raise ValueError("partition [1] of type B is an orbit of so(1), of rank 0")
+    return rows
 
 
 def validate(rows, family):
@@ -39,12 +72,9 @@ def validate(rows, family):
     C: total even, every odd part with even multiplicity.
     D: total even, every even part with even multiplicity.
     A: any partition.
+    Rows that :func:`partition_rows` refuses raise its error first.
     """
-    rows = tuple(int(r) for r in rows)
-    if not rows or any(r <= 0 for r in rows):
-        raise ValueError("partition parts must be positive")
-    if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
-        raise ValueError("partition must be weakly decreasing")
+    rows = partition_rows(rows, family)
     total = sum(rows)
     if family == "A":
         return OrbitPartition(rows, family)
@@ -162,12 +192,23 @@ def _centered_string(v):
     return _string(v - 1, -(v - 1))
 
 
-@dataclass(frozen=True)
-class UnipotentParam:
-    orbit: OrbitPartition
-    eta: tuple  # one sign per free pair, +1/-1
-    zh: ZhParam
-    very_even_tag: str = ""
+class UnipotentParam(_Frozen):
+    __slots__ = ("orbit", "eta", "zh", "very_even_tag")
+
+    def __init__(self, orbit, eta, zh, very_even_tag=""):
+        _set(self, "orbit", orbit)
+        _set(self, "eta", eta)  # one sign per free pair, +1/-1
+        _set(self, "zh", zh)
+        _set(self, "very_even_tag", very_even_tag)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.orbit, self.eta, self.zh, self.very_even_tag) == (
+                other.orbit, other.eta, other.zh, other.very_even_tag)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.orbit, self.eta, self.zh, self.very_even_tag))
 
 
 def infinitesimal_character(orbit):

@@ -20,14 +20,16 @@ Entry points:
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from functools import lru_cache
 
 from .weights import (
     HalfIntVec,
     KType,
     RootDatum,
     ZhParam,
+    _Frozen,
     _canonical_pairs,
+    _set,
     dominant_rep,
     is_dominant,
     is_regular,
@@ -46,8 +48,7 @@ __all__ = [
 # string decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StringDecomp:
+class StringDecomp(_Frozen):
     """Sorted coordinate multiset of a spherical parameter, cut into
     maximal consecutive runs.
 
@@ -58,11 +59,25 @@ class StringDecomp:
     (0, 1, ..., N0-1) for D.
     """
 
-    datum: RootDatum
-    kappa0_len: int
-    sigma0_len: int
-    kappa: tuple = ()
-    sigma: tuple = ()
+    __slots__ = ("datum", "kappa0_len", "sigma0_len", "kappa", "sigma")
+
+    def __init__(self, datum, kappa0_len, sigma0_len, kappa=(), sigma=()):
+        _set(self, "datum", datum)
+        _set(self, "kappa0_len", kappa0_len)
+        _set(self, "sigma0_len", sigma0_len)
+        _set(self, "kappa", kappa)
+        _set(self, "sigma", sigma)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.datum, self.kappa0_len, self.sigma0_len, self.kappa,
+                    self.sigma) == (other.datum, other.kappa0_len,
+                                    other.sigma0_len, other.kappa, other.sigma)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.datum, self.kappa0_len, self.sigma0_len, self.kappa,
+                     self.sigma))
 
     @property
     def has_extras(self):
@@ -126,13 +141,27 @@ def decompose_strings(lam, datum):
 # verdicts and witness K-types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UnitarityVerdict:
-    status: str                 # "Unitary" | "NonUnitary"
-    case: str                   # which branch of the decision tree fired
-    certificate: dict = None    # Unitary only
-    witness: tuple = ()         # NonUnitary only: KTypes with indefinite form
-    notes: str = ""
+class UnitarityVerdict(_Frozen):
+    __slots__ = ("status", "case", "certificate", "witness", "notes")
+
+    def __init__(self, status, case, certificate=None, witness=(), notes=""):
+        _set(self, "status", status)  # "Unitary" | "NonUnitary"
+        _set(self, "case", case)  # which branch of the decision tree fired
+        _set(self, "certificate", certificate)  # dict, Unitary only
+        # NonUnitary only: KTypes with indefinite form
+        _set(self, "witness", witness)
+        _set(self, "notes", notes)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.status, self.case, self.certificate, self.witness,
+                    self.notes) == (other.status, other.case, other.certificate,
+                                    other.witness, other.notes)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.status, self.case, self.certificate, self.witness,
+                     self.notes))
 
     @property
     def is_unitary(self):
@@ -155,17 +184,20 @@ class UnitarityVerdict:
         return "NonUnitary [%s] witness {%s}" % (self.case, wit)
 
 
+@lru_cache(maxsize=4096)
 def _kt(datum, coords):
-    """The K-type with integer coordinates ``coords``, sorted and padded."""
+    """The K-type with the tuple of integer coordinates ``coords``, sorted
+    and padded.  Cached: a sweep asks for the same few witnesses (the
+    trivial K-type, (1,1,0,...), (2,0,...), runs of ones) again and again."""
     if len(coords) > datum.rank:
         raise RuntimeError(
-            "witness K-type %s does not fit rank %d" % (coords, datum.rank))
+            "witness K-type %s does not fit rank %d" % (list(coords), datum.rank))
     hw = sorted((2 * c for c in coords), reverse=True)
     return KType(HalfIntVec(tuple(hw) + (0,) * (datum.rank - len(hw))), datum)
 
 
 def _trivial_kt(datum):
-    return _kt(datum, [])
+    return _kt(datum, ())
 
 
 def _bottom_pair(datum):
@@ -174,20 +206,20 @@ def _bottom_pair(datum):
     adjoint-type K-type is (1,1,0,...); at rank one it is (1) for B, and
     D has none, so(2) being abelian."""
     if datum.rank > 1:
-        return (_trivial_kt(datum), _kt(datum, [1, 1]))
+        return (_trivial_kt(datum), _kt(datum, (1, 1)))
     if datum.family == "B":
-        return (_trivial_kt(datum), _kt(datum, [1]))
+        return (_trivial_kt(datum), _kt(datum, (1,)))
     return (_trivial_kt(datum),)
 
 
 def _boundary_pair(datum):
     """(1,1,0,..) and (2,0,..): the pair split by parameters that deform
     onto the unitary shape from outside."""
-    return (_kt(datum, [1, 1]), _kt(datum, [2]))
+    return (_kt(datum, (1, 1)), _kt(datum, (2,)))
 
 
 def _ones_kt(datum, m):
-    return _kt(datum, [1] * m)
+    return _kt(datum, (1,) * m)
 
 
 def _unitary(case, certificate, notes=""):
@@ -283,8 +315,8 @@ def _c_gap_pair(datum, values):
     (doubled) have opposite parity, so they lie in different strings."""
     mags = set(map(abs, values))
     if any(x + 1 in mags for x in mags):
-        return "adjacent-strings", (_trivial_kt(datum), _kt(datum, [1, 1]))
-    return "separated-strings", (_trivial_kt(datum), _kt(datum, [2]))
+        return "adjacent-strings", (_trivial_kt(datum), _kt(datum, (1, 1)))
+    return "separated-strings", (_trivial_kt(datum), _kt(datum, (2,)))
 
 
 def _spherical_C(sd, values):
@@ -367,7 +399,7 @@ def _spherical(values, datum):
 def _lift(datum, extra, kts):
     """Prepend ``extra`` coordinates to each witness K-type."""
     return tuple(
-        _kt(datum, [c // 2 for c in kt.hw.doubled] + list(extra)) for kt in kts)
+        _kt(datum, tuple(c // 2 for c in kt.hw.doubled) + tuple(extra)) for kt in kts)
 
 
 def _relevant(datum, block, spherical):
@@ -515,7 +547,7 @@ def _level_violation(datum, pairs, bad_level):
     idx = [i for i, x in enumerate(companion) if x == bad_level]
     companion[idx[0]] = bad_level + 1
     companion[idx[-1]] = bad_level - 1
-    return (_kt(datum, mu), _kt(datum, companion))
+    return (_kt(datum, tuple(mu)), _kt(datum, tuple(companion)))
 
 
 def full_unitarity(param):

@@ -15,7 +15,6 @@ e_1..e_n coordinates:
                number of sign changes.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate
@@ -23,20 +22,60 @@ import operator
 
 FAMILIES = ("A", "B", "C", "D")
 
+_set = object.__setattr__  # how a _Frozen __init__ sets its fields
 
-@dataclass(frozen=True)
-class HalfIntVec:
+
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields in ``__slots__``, in constructor order,
+    sets them in ``__init__`` with ``_set``, and writes its own ``__eq__``
+    (``NotImplemented`` against other classes) and ``__hash__`` (the hash
+    of the tuple of compared fields) on the fields directly: a generic
+    loop over ``__slots__`` made both several times slower.  The base
+    refuses assignment and deletion after construction, gives the
+    ``Name(field=value, ...)`` repr, and pickles and copies through the
+    constructor, so its checks run again.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join("%s=%r" % (f, getattr(self, f)) for f in self.__slots__),
+        )
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+class HalfIntVec(_Frozen):
     """A vector with coordinates in (1/2)Z, stored doubled.
 
     ``HalfIntVec((5, 3, 1))`` is the vector (5/2, 3/2, 1/2).  Use
     :func:`vec` to build one from ordinary numbers.
     """
 
-    doubled: tuple
+    __slots__ = ("doubled",)
 
-    def __post_init__(self):
+    def __init__(self, doubled):
         # operator.index refuses floats and Fractions instead of truncating
-        object.__setattr__(self, "doubled", tuple(map(operator.index, self.doubled)))
+        _set(self, "doubled", tuple(map(operator.index, doubled)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.doubled == other.doubled
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.doubled,))
 
     # -- construction helpers -------------------------------------------
 
@@ -107,18 +146,26 @@ def vec(*coords):
     return HalfIntVec.from_halves(Fraction(c) for c in coords)
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(_Frozen):
     """One of the classical families A/B/C/D at a given rank."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError("unknown family %r" % (self.family,))
-        if not isinstance(self.rank, int) or self.rank < 1:
+    def __init__(self, family, rank):
+        if family not in FAMILIES:
+            raise ValueError("unknown family %r" % (family,))
+        if not isinstance(rank, int) or rank < 1:
             raise ValueError("rank must be a positive integer")
+        _set(self, "family", family)
+        _set(self, "rank", rank)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.family, self.rank) == (other.family, other.rank)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.family, self.rank))
 
     def positive_roots(self):
         """Positive roots in ordinary (not doubled) integer coordinates."""
@@ -304,23 +351,31 @@ def w0_action(v, datum):
     return HalfIntVec(tuple(flipped))
 
 
-@dataclass(frozen=True)
-class KType:
+class KType(_Frozen):
     """An irreducible module of K (or its double cover), by highest weight."""
 
-    hw: HalfIntVec
-    datum: RootDatum
+    __slots__ = ("hw", "datum")
 
-    def __post_init__(self):
-        if not is_dominant(self.hw, self.datum):
-            raise ValueError("%s is not dominant for %s" % (self.hw, self.datum))
-        parities = {c % 2 for c in self.hw.doubled}
+    def __init__(self, hw, datum):
+        if not is_dominant(hw, datum):
+            raise ValueError("%s is not dominant for %s" % (hw, datum))
+        parities = {c % 2 for c in hw.doubled}
         if len(parities) > 1:
             raise ValueError("mixed integral/half-integral coordinates")
-        if parities == {1} and self.datum.family not in ("B", "D"):
+        if parities == {1} and datum.family not in ("B", "D"):
             raise ValueError(
                 "half-integral K-types only exist for the B/D double covers"
             )
+        _set(self, "hw", hw)
+        _set(self, "datum", datum)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.hw, self.datum) == (other.hw, other.datum)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.hw, self.datum))
 
     @property
     def dim(self):
@@ -345,31 +400,38 @@ def dim(kt):
     return q
 
 
-@dataclass(frozen=True)
-class ZhParam:
+class ZhParam(_Frozen):
     """A module parameter: a pair of weights up to simultaneous
     Weyl-group action.  lambda_L - lambda_R must be a weight of a
     finite-dimensional module (integral, or half-integral throughout
     for the genuine double-cover parameters)."""
 
-    lambda_L: HalfIntVec
-    lambda_R: HalfIntVec
-    datum: RootDatum
+    __slots__ = ("lambda_L", "lambda_R", "datum")
 
-    def __post_init__(self):
-        if len(self.lambda_L) != self.datum.rank or len(
-            self.lambda_R
-        ) != self.datum.rank:
+    def __init__(self, lambda_L, lambda_R, datum):
+        if len(lambda_L) != datum.rank or len(lambda_R) != datum.rank:
             raise ValueError("parameter length does not match rank")
-        diff = self.lambda_L - self.lambda_R
+        diff = lambda_L - lambda_R
         if not (
             diff.is_integral
             or all(c % 2 == 1 for c in diff.doubled)
-            and self.datum.family in ("B", "D")
+            and datum.family in ("B", "D")
         ):
             raise ValueError(
                 "lambda_L - lambda_R = %s is not a module weight" % (diff,)
             )
+        _set(self, "lambda_L", lambda_L)
+        _set(self, "lambda_R", lambda_R)
+        _set(self, "datum", datum)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lambda_L, self.lambda_R, self.datum) == (
+                other.lambda_L, other.lambda_R, other.datum)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lambda_L, self.lambda_R, self.datum))
 
     def __str__(self):
         return "(%s ; %s)" % (self.lambda_L, self.lambda_R)

@@ -252,6 +252,8 @@ def test_option_errors_name_the_problem(capsys):
         (("unitarity", "--type", "B", "--lambda-l", "1,1,1"), neither),
         (("dirac-induced", "--core", "X:1,2"), "unknown family kind 'X'"),
         (("dirac-induced", "--core", "B:1,x"), "core sizes must be integers (got '1,x')"),
+        (("catalog", "--type", "B", "--partition", "1"),
+         "partition [1] of type B is an orbit of so(1), of rank 0"),
     ]
     for argv, msg in cases:
         for extra in ((), ("--json",)):

@@ -309,3 +309,27 @@ def test_package_imports_no_numpy():
         "import " + name for name in names
     )
     assert _child(code) == "False"
+
+
+# every package module, then each benchmark workload's modules
+IMPORT_SETS = [
+    sorted("diracdual." + m.name for m in pkgutil.iter_modules(diracdual.__path__)),
+    ["diracdual.characters"],
+    ["diracdual.spectrum", "diracdual.dirac"],
+    ["diracdual.unitarity"],
+    ["diracdual.cli"],
+]
+
+
+@pytest.mark.parametrize("names", IMPORT_SETS, ids=lambda names: "+".join(names))
+def test_package_adds_no_dataclasses_or_inspect(names):
+    # dataclasses pulls in inspect, ast, dis and tokenize: about a third of
+    # the package's import time.  The baseline is what a bare interpreter
+    # already holds (a site .pth may load either).
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "%s\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))\n"
+    ) % "\n".join("import " + name for name in names)
+    assert _child(code) == "[]"

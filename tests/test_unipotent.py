@@ -8,6 +8,7 @@ import pytest
 from diracdual import unipotent
 from diracdual.weights import HalfIntVec, dominant_rep
 from diracdual.unipotent import (
+    OrbitPartition,
     column_pairing,
     component_group_order,
     enumerate_parameters,
@@ -56,6 +57,9 @@ def test_validate_shape_rules():
         validate((2, 0), "C")
     with pytest.raises(ValueError):
         validate((), "C")
+    # so(1) has rank 0: no root datum, so no orbit to catalogue
+    with pytest.raises(ValueError, match=r"^partition \[1\] of type B "):
+        validate((1,), "B")
 
 
 def test_rank_bookkeeping():
@@ -207,7 +211,8 @@ def test_triangular():
     assert is_triangular(validate((2, 2), "C"))
     assert is_triangular(validate((4, 4, 2, 2), "C"))
     assert is_triangular(validate((3, 3, 1, 1), "D"))
-    assert is_triangular(validate((1,), "B"))
+    # B's staircase at m = 0; validate refuses it, so(1) having rank 0
+    assert is_triangular(OrbitPartition((1,), "B"))
     assert is_triangular(validate((1, 1), "D"))
     assert not is_triangular(validate((4, 4, 2), "C"))
     assert not is_triangular(validate((2, 2, 2, 2), "C"))

@@ -23,6 +23,7 @@ from diracdual.dirac import spin_norm_sq_x4
 from diracdual.unitarity import (
     _decompose,
     _is_hermitian,
+    _kt,
     decompose_strings,
     full_unitarity,
     spherical_unitarity,
@@ -651,3 +652,13 @@ def test_hermitian_matches_weyl_orbits_rank4_D():
         assert herm or k % 2 == 0, (lL, lR)  # the built pairs are Hermitian
         verdicts.append(herm)
     assert not all(verdicts)
+
+
+def test_witness_ktypes_are_built_once_and_misfits_always_raise():
+    B2 = RootDatum("B", 2)
+    assert _kt(B2, (1, 1)) is _kt(B2, (1, 1))
+    assert _kt(B2, (1, 2)).hw == HalfIntVec((4, 2))
+    # lru_cache keeps no exception: the fit check raises on every call
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match=r"witness K-type \[1, 1, 1\] does not fit rank 2"):
+            _kt(B2, (1, 1, 1))
